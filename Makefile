@@ -1,32 +1,15 @@
-.PHONY: install test test-fast kernel-smoke verify-resume verify-resume-full bench bench-show bench-smoke trace-smoke exp-smoke service-smoke report examples clean
+.PHONY: install test test-fast verify-resume verify-resume-full bench bench-show bench-smoke trace-smoke exp-smoke service-smoke report examples clean
 
 install:
 	pip install -e '.[dev]' --no-build-isolation
 
-test: verify-resume exp-smoke service-smoke kernel-smoke
+test: verify-resume exp-smoke service-smoke
 	PYTHONPATH=src pytest tests/
 
 # Inner-loop tier: skips the @slow-marked multi-second cases (see
 # CONTRIBUTING.md "Test tiers"); budgeted at < 60 s wall time.
 test-fast:
 	PYTHONPATH=src pytest tests/ -m "not slow"
-
-#: Test files that exercise the repro.core.kernels dispatch seam
-#: (cache batch path, DES engine heap, DBA pack/merge).
-KERNEL_SEAM_TESTS = tests/test_kernels.py tests/test_parallel_des.py \
-	tests/test_memsim.py tests/test_sim_engine.py tests/test_dba.py \
-	tests/test_batch_fastpaths.py tests/test_engine_invariants.py
-
-# Backend matrix: the kernel-seam test files re-run under EVERY
-# registered compute-kernel backend via REPRO_KERNEL (numba falls back
-# to numpy with a notice when not installed — still a valid run of the
-# selection path).
-kernel-smoke:
-	@for k in scalar numpy numba; do \
-		echo "== kernel backend: $$k =="; \
-		REPRO_KERNEL=$$k PYTHONPATH=src pytest $(KERNEL_SEAM_TESTS) \
-			-q -m "not slow" || exit 1; \
-	done
 
 # Resume-equivalence harness: train / checkpoint / resume a tiny model in
 # every TrainerMode x precision x accumulation config and assert the

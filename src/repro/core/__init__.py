@@ -1,19 +1,8 @@
 """TECO public API (the paper's two-line user interface, Listing 1).
 
 >>> from repro.core import check_activation, TecoConfig, TecoSystem
-
-The API symbols load lazily (PEP 562): :mod:`repro.core.kernels` sits
-below every simulation layer (``memsim``, ``sim``, ``dba`` all dispatch
-through it), so importing this package must not drag in the offload
-stack that :mod:`repro.core.api` builds on top of those layers.
 """
 
+from repro.core.api import TecoConfig, TecoSystem, check_activation, cxl_fence
+
 __all__ = ["TecoConfig", "TecoSystem", "check_activation", "cxl_fence"]
-
-
-def __getattr__(name):
-    if name in __all__:
-        from repro.core import api
-
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

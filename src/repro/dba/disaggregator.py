@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import active_backend
 from repro.dba.aggregator import WORDS_PER_LINE
 from repro.dba.registers import DBARegister
 from repro.utils.bits import float32_to_words, low_byte_mask, words_to_float32
@@ -63,15 +62,12 @@ class Disaggregator:
     def merge_lines(
         self, stale_lines: np.ndarray, payload: np.ndarray
     ) -> np.ndarray:
-        """Merge wire payloads into stale lines (kernel fast path).
+        """Merge wire payloads into stale lines (vectorized fast path).
 
-        The merge dispatches through the active
-        :mod:`repro.core.kernels` backend; the default ``numpy`` backend
-        scatters the payload into the low byte lanes of a zeroed
-        little-endian byte grid with one strided copy and reinterprets
-        the grid as words — no per-byte shift/OR passes.  Every backend
-        is bit-identical to :meth:`merge_lines_scalar`, the per-word
-        reference.
+        The payload is scattered into the low byte lanes of a zeroed
+        little-endian byte grid with one strided copy and reinterpreted as
+        words — no per-byte shift/OR passes.  Bit-identical to
+        :meth:`merge_lines_scalar`, the per-word reference.
 
         Parameters
         ----------
@@ -88,9 +84,13 @@ class Disaggregator:
         """
         stale_lines, payload, n = self._validated(stale_lines, payload)
         rows = stale_lines.shape[0]
-        merged = active_backend().dba_merge(
-            float32_to_words(stale_lines), payload, n
-        )
+        lanes = np.zeros((rows, WORDS_PER_LINE, 4), dtype=np.uint8)
+        lanes[:, :, :n] = payload.reshape(rows, WORDS_PER_LINE, n)
+        # "<u4" makes byte lane j the (8j)-shifted byte on any host.
+        fresh_low = lanes.view("<u4")[:, :, 0].astype(np.uint32, copy=False)
+        mask = low_byte_mask(n)
+        stale_words = float32_to_words(stale_lines)
+        merged = (stale_words & ~mask) | (fresh_low & mask)
         self.lines_merged += rows
         self.extra_reads += rows if self.register.enabled else 0
         return words_to_float32(merged.astype(np.uint32))

@@ -21,7 +21,6 @@ from repro.experiments import fig12
 from repro.experiments import table5
 from repro.experiments import table6
 from repro.experiments import fig13
-from repro.experiments import fig_full
 from repro.experiments import table7
 from repro.experiments import table8
 from repro.experiments import comm_volume
@@ -57,7 +56,6 @@ __all__ = [
     "table5",
     "table6",
     "fig13",
-    "fig_full",
     "table7",
     "table8",
     "comm_volume",

@@ -205,6 +205,20 @@ def _fig10_render(result):
 
 
 @register(
+    "fig10_full",
+    "Figure 10 at full paper scale (1775 steps, DBA from step 500)",
+    tags=("figure", "functional", "full"),
+)
+def _fig10_full_experiment(ctx, n_steps=1775, act_aft_steps=500, lr=5e-4):
+    return _fig10_experiment(
+        ctx, n_steps=n_steps, act_aft_steps=act_aft_steps, lr=lr
+    )
+
+
+renderer("fig10_full")(_fig10_render)
+
+
+@register(
     "fig10-albert",
     "Figure 10 (Albert panel) — shared-layer encoder loss curves",
     tags=("figure", "functional"),

@@ -143,3 +143,22 @@ def _fig13_experiment(
 @renderer("fig13")
 def _fig13_render(result):
     return render_fig13(result.rows)
+
+
+@register(
+    "fig13_full",
+    "Figure 13 at full paper scale (1775-step activation sweep)",
+    tags=("figure", "functional", "timing", "full"),
+)
+def _fig13_full_experiment(
+    ctx, sweep=(0, 100, 500, 1000, 1775), total_steps=1775, paper_total_steps=1775
+):
+    return _fig13_experiment(
+        ctx,
+        sweep=sweep,
+        total_steps=total_steps,
+        paper_total_steps=paper_total_steps,
+    )
+
+
+renderer("fig13_full")(_fig13_render)

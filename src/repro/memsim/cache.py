@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import active_backend
-
 __all__ = ["CacheStats", "AccessResult", "BlockAccessResult", "SetAssociativeCache"]
 
 
@@ -173,22 +171,20 @@ class SetAssociativeCache:
     def access_block(
         self, addresses: np.ndarray, is_write: bool | np.ndarray
     ) -> BlockAccessResult:
-        """Batch access: the whole stream through the active kernel backend.
+        """Vectorized batch access: the whole stream in NumPy array ops.
 
         Semantically identical to calling :meth:`access` once per element
         of ``addresses`` in order (same :class:`CacheStats` counters, same
         ordered dirty write-back stream, same final tag/valid/dirty/LRU
-        state) — the equivalence is differentially fuzz-tested per
-        backend.
+        state) — the equivalence is differentially fuzz-tested.
 
-        Validation and output allocation happen here; the heavy lifting
-        dispatches through :func:`repro.core.kernels.active_backend`.
-        The default ``numpy`` backend groups the stream by set and
-        processes it in rounds (round ``k`` performs the ``k``-th access
-        of every set at once), so Python-level work is O(max accesses per
-        set), not O(len(addresses)); ``scalar`` replays the stream
-        through :meth:`access`; ``numba`` runs a compiled per-access
-        loop.
+        Accesses to different sets are independent, so the stream is
+        grouped by set and processed in *rounds*: round ``k`` performs the
+        ``k``-th access of every set at once (vectorized tag compare,
+        victim selection and LRU update across sets).  Python-level work is
+        O(max accesses per set), not O(len(addresses)); throughput scales
+        with the set parallelism of the stream (worst case — every access
+        aliasing one set — degenerates to scalar speed).
 
         Parameters
         ----------
@@ -215,7 +211,92 @@ class SetAssociativeCache:
         wb_out = np.full(n, -1, dtype=np.int64)
         if n == 0:
             return BlockAccessResult(hits_out, wb_out)
-        active_backend().cache_access_block(self, addrs, writes, hits_out, wb_out)
+
+        lines = addrs >> self._line_shift
+        sets = lines % self.n_sets
+        tags = lines // self.n_sets
+
+        # Group the stream by set: round k visits the k-th access of
+        # every set, i.e. sorted-order positions start[g] + k.
+        order = np.argsort(sets, kind="stable")
+        uniq_sets, start, counts = np.unique(
+            sets[order], return_index=True, return_counts=True
+        )
+        tick0 = self._tick
+
+        # Block-local state with invalid ways folded into sentinels:
+        # tag/LRU -1.  Any valid LRU stamp is >= 1, so argmin over the LRU
+        # row picks the first invalid way when one exists (ties break to
+        # the lowest way index) and the true LRU way otherwise — exactly
+        # the scalar victim choice, without gathering a validity plane.
+        # The round loop is memory-bound on the tag-compare and LRU-argmin
+        # planes; when every tag and LRU stamp fits in 32 bits (any stream
+        # below 2^31 accesses over a < 8-TiB address span) halve the
+        # traffic by running the rounds on int32 copies.
+        compact = (
+            int(tags.max()) < 2**31 - 1
+            and tick0 + n < 2**31 - 1
+            and (
+                not np.any(self._valid)
+                or int(self._tags[self._valid].max()) < 2**31 - 1
+            )
+        )
+        dt = np.int32 if compact else np.int64
+        tags = tags.astype(dt, copy=False)
+        tags_l = np.where(self._valid, self._tags, -1).astype(dt, copy=False)
+        lru_l = np.where(self._valid, self._lru, -1).astype(dt, copy=False)
+        dirty = self._dirty
+        hits = misses = evictions = writebacks = 0
+        for k in range(int(counts.max())):
+            live = counts > k
+            idx = order[start[live] + k]  # stream position, one per set
+            s = uniq_sets[live]
+            tg = tags[idx]
+            wr = writes[idx]
+            stamp = tick0 + idx + 1  # == scalar per-access tick
+            match = tags_l[s] == tg[:, None]
+            hit = match.any(axis=1)
+
+            hi = np.flatnonzero(hit)
+            if hi.size:
+                way = match[hi].argmax(axis=1)
+                lru_l[s[hi], way] = stamp[hi]
+                dirty[s[hi], way] |= wr[hi]
+                hits_out[idx[hi]] = True
+                hits += hi.size
+
+            mi = np.flatnonzero(~hit)
+            if mi.size:
+                ms = s[mi]
+                lru_rows = lru_l[ms]
+                victim = lru_rows.argmin(axis=1)
+                evicted = lru_rows[np.arange(ms.size), victim] != -1
+                dirty_victim = dirty[ms, victim] & evicted
+                dv = np.flatnonzero(dirty_victim)
+                if dv.size:
+                    old_tags = tags_l[ms[dv], victim[dv]].astype(np.int64)
+                    wb_out[idx[mi[dv]]] = (
+                        (old_tags * self.n_sets) + ms[dv]
+                    ) << self._line_shift
+                misses += mi.size
+                evictions += int(np.count_nonzero(evicted))
+                writebacks += dv.size
+                tags_l[ms, victim] = tg[mi]
+                dirty[ms, victim] = wr[mi]
+                lru_l[ms, victim] = stamp[mi]
+
+        # Fold the local state back: ways still holding the sentinel were
+        # invalid on entry and untouched — they keep their stale tag/LRU
+        # exactly as the scalar path would.
+        touched = lru_l != np.int64(-1)
+        np.copyto(self._tags, tags_l, where=touched)
+        np.copyto(self._lru, lru_l, where=touched)
+        self._valid |= touched
+        self._tick += n
+        self.stats.hits += hits
+        self.stats.misses += misses
+        self.stats.evictions += evictions
+        self.stats.writebacks += writebacks
         return BlockAccessResult(hits_out, wb_out)
 
     def access_stream(

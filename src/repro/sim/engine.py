@@ -179,26 +179,13 @@ class Simulator:
     layer; they default to the shared null objects, so an un-profiled
     simulation pays nothing for the hooks (instrumented components test
     ``sim.tracer.enabled`` / ``sim.metrics.enabled`` before recording).
-
-    ``kernel`` pins the event-heap implementation to a named
-    :mod:`repro.core.kernels` backend; by default the active backend is
-    consulted once, here.  The ``numpy`` backend (the default) supplies
-    no heap object, which keeps the original inline :mod:`heapq` loop —
-    the per-event hot path gains no indirection.  Heap ordering is
-    ``(time, seq)`` with a unique ``seq``, so every backend pops events
-    in exactly the same order and simulation results are bit-identical
-    across backends.
     """
 
-    def __init__(self, tracer=None, metrics=None, kernel: str | None = None) -> None:
-        from repro.core.kernels import active_backend
+    def __init__(self, tracer=None, metrics=None) -> None:
         from repro.obs import NULL_METRICS, NULL_TRACER
 
-        backend = active_backend(kernel)
-        self.kernel = backend.name
         self.now: float = 0.0
         self._heap: list[tuple[float, int, SimEvent]] = []
-        self._events = backend.make_event_heap()  # None => inline heapq
         self._seq = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -208,10 +195,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self._seq += 1
-        if self._events is None:
-            heapq.heappush(self._heap, (self.now + delay, self._seq, event))
-        else:
-            self._events.push(self.now + delay, self._seq, event)
+        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
 
     def event(self) -> SimEvent:
         """A fresh untriggered event."""
@@ -282,38 +266,30 @@ class Simulator:
     # -- execution -------------------------------------------------------
     def step(self) -> None:
         """Process the next event."""
-        if self._events is None:
-            time, _, event = heapq.heappop(self._heap)
-        else:
-            time, _, event = self._events.pop()
+        time, _, event = heapq.heappop(self._heap)
         if time < self.now:
             raise AssertionError("time went backwards")
         self.now = time
         event._fire()
 
     def run(self, until: float | None = None) -> None:
-        """Run until the heap drains or virtual time passes ``until``."""
-        if self._events is None:
-            heap = self._heap
-            while heap:
-                time = heap[0][0]
-                if until is not None and time > until:
-                    self.now = until
-                    return
-                self.step()
-        else:
-            events = self._events
-            while len(events):
-                time = events.peek_time()
-                if until is not None and time > until:
-                    self.now = until
-                    return
-                self.step()
+        """Run until the heap drains or virtual time passes ``until``.
+
+        ``until`` earlier than :attr:`now` raises :class:`ValueError`:
+        the clock never moves backwards past already-processed events.
+        """
+        if until is not None and until < self.now:
+            raise ValueError(f"until={until} lies before now={self.now}")
+        heap = self._heap
+        while heap:
+            time = heap[0][0]
+            if until is not None and time > until:
+                self.now = until
+                return
+            self.step()
         if until is not None:
-            self.now = max(self.now, until)
+            self.now = until
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event (``inf`` if none)."""
-        if self._events is None:
-            return self._heap[0][0] if self._heap else float("inf")
-        return self._events.peek_time()
+        return self._heap[0][0] if self._heap else float("inf")

@@ -14,7 +14,7 @@ loudly instead of silently skewing every experiment downstream.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dba import Aggregator, DBARegister, Disaggregator
@@ -27,8 +27,15 @@ from repro.trace import (
     simulate_sweep_writebacks,
 )
 
-#: (size_bytes, ways) cache shapes mixing tiny (heavy aliasing) and wide.
-CACHE_SHAPES = [(64 * 8, 2), (64 * 16, 4), (64 * 64, 8), (64 * 32, 32)]
+#: (size_bytes, line_bytes, ways) cache shapes mixing tiny (heavy
+#: aliasing), wide, and direct-mapped with short lines.
+CACHE_SHAPES = [
+    (64 * 8, 64, 2),
+    (64 * 16, 64, 4),
+    (64 * 64, 64, 8),
+    (64 * 32, 64, 32),
+    (512, 32, 1),
+]
 
 
 def run_scalar(cache, addrs, writes):
@@ -67,10 +74,9 @@ class TestCacheBlockDifferential:
     @given(st.sampled_from(CACHE_SHAPES), access_streams())
     @settings(max_examples=40, deadline=None)
     def test_block_equals_sequential(self, shape, stream):
-        size, ways = shape
         addrs, writes = stream
-        scalar = SetAssociativeCache(size, 64, ways)
-        block = SetAssociativeCache(size, 64, ways)
+        scalar = SetAssociativeCache(*shape)
+        block = SetAssociativeCache(*shape)
         hits, wbs = run_scalar(scalar, addrs, writes)
         result = block.access_block(addrs, writes)
         assert np.array_equal(result.hits, hits)
@@ -83,15 +89,29 @@ class TestCacheBlockDifferential:
     @settings(max_examples=25, deadline=None)
     def test_block_on_warm_cache(self, shape, first, second):
         """A block after a scalar prefix sees identical warm state."""
-        size, ways = shape
-        scalar = SetAssociativeCache(size, 64, ways)
-        block = SetAssociativeCache(size, 64, ways)
+        scalar = SetAssociativeCache(*shape)
+        block = SetAssociativeCache(*shape)
         run_scalar(scalar, *first)
         run_scalar(block, *first)
         hits, wbs = run_scalar(scalar, *second)
         result = block.access_block(*second)
         assert np.array_equal(result.hits, hits)
         assert np.array_equal(result.writebacks, wbs)
+        assert_same_cache_state(scalar, block)
+
+    def test_lru_tie_break_prefers_lowest_way(self):
+        """Invalid ways fill lowest index first, then the LRU-min way
+        with the lowest index is the victim, in both paths."""
+        # 2 sets x 2 ways of 64 B lines; tags 0..4 all map to set 0.
+        addrs = np.array([0, 128, 256, 384, 512], dtype=np.int64)
+        scalar = SetAssociativeCache(256, 64, 2)
+        block = SetAssociativeCache(256, 64, 2)
+        _, wbs = run_scalar(scalar, addrs, np.ones(5, dtype=bool))
+        result = block.access_block(addrs, True)
+        # tags 0, 1 fill ways 0, 1; tag 2 evicts tag 0 (way 0), tag 3
+        # evicts tag 1 (way 1), tag 4 evicts tag 2 (way 0 again).
+        assert result.writeback_address.tolist() == [-1, -1, 0, 128, 256]
+        assert wbs.tolist() == [0, 128, 256]
         assert_same_cache_state(scalar, block)
 
     def test_uniform_write_flag_broadcast(self):
@@ -126,11 +146,32 @@ class TestHierarchyBlockDifferential:
             ]
         )
 
+    @staticmethod
+    def make_two_level():
+        return CacheHierarchy(
+            [
+                SetAssociativeCache(256, 64, 2, name="l1"),
+                SetAssociativeCache(1024, 64, 4, name="l2"),
+            ]
+        )
+
     @given(access_streams())
     @settings(max_examples=30, deadline=None)
     def test_block_equals_sequential(self, stream):
-        addrs, writes = stream
-        scalar, block = self.make(), self.make()
+        self.check_block_equals_sequential(self.make(), self.make(), *stream)
+
+    def test_two_level_per_level_stats_equal_sequential(self):
+        """Per-level hit/miss/eviction/write-back counters of the batch
+        path equal a per-access loop on a two-level hierarchy."""
+        rng = np.random.default_rng(29)
+        addrs = rng.integers(0, 4096, 500, dtype=np.int64)
+        writes = rng.random(500) < 0.4
+        self.check_block_equals_sequential(
+            self.make_two_level(), self.make_two_level(), addrs, writes
+        )
+
+    @staticmethod
+    def check_block_equals_sequential(scalar, block, addrs, writes):
         hit_levels, wbs, origins = [], [], []
         for j, (a, w) in enumerate(zip(addrs, writes)):
             r = scalar.access(int(a), bool(w))
@@ -203,6 +244,7 @@ class TestDBADifferential:
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
+    @example(4, 48, 5)  # full-width words, whole lines: lossless
     def test_pack_unpack_roundtrip_matches_scalar(self, db, n_words, seed):
         """Vectorized pack/unpack ≡ per-word reference at every
         ``dirty_bytes``, including partial last cache lines."""
@@ -237,10 +279,14 @@ class TestDBADifferential:
     def test_bypass_register_identical(self):
         rng = np.random.default_rng(0)
         t = rng.standard_normal(35).astype(np.float32)
+        stale = rng.standard_normal(35).astype(np.float32)
         fast = Aggregator(DBARegister()).pack_tensor(t)
         ref = Aggregator(DBARegister()).pack_tensor_scalar(t)
         assert np.array_equal(fast, ref)
         assert fast.shape[1] == 64  # full lines when DBA is off
+        # All 4 bytes of every word cross the wire: the merge is lossless.
+        merged = Disaggregator(DBARegister()).unpack(stale, fast)
+        assert np.array_equal(merged.view(np.uint32), t.view(np.uint32))
 
 
 class TestReplayDifferential:

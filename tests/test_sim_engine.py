@@ -100,6 +100,21 @@ class TestEventsAndTimeouts:
         sim.run(until=3.0)
         assert sim.now == 3.0
 
+    def test_run_until_in_the_past_rejected(self):
+        """The clock never moves back: a later ``timeout`` cannot fire
+        before time that was already processed."""
+        sim = Simulator()
+        sim.timeout(10.0)
+        sim.run(until=12.0)
+        with pytest.raises(ValueError):
+            sim.run(until=5.0)
+        assert sim.now == 12.0
+        fired = []
+        sim.timeout(1.0).callbacks.append(lambda e: fired.append(sim.now))
+        sim.run(until=12.0)  # ``until == now`` is allowed
+        sim.run()
+        assert fired == [13.0]
+
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
