@@ -17,9 +17,11 @@ experiment here makes it reachable everywhere at once.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
+import os
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
@@ -209,26 +211,55 @@ class ExperimentSpec:
         return text
 
     def code_version(self) -> str:
-        """Hash of the defining module plus the shared harness modules.
+        """Hash of every source file the result could depend on.
 
-        The result cache keys on this: editing an experiment driver (or
-        the harness everything runs through) invalidates exactly the
-        cells whose code changed.
+        The result cache keys on this.  It covers the whole ``repro``
+        package (every ``src/repro/**/*.py``, by relative path and
+        bytes) plus the defining module when that lies outside the
+        package, so an edit to any shared module — the DES engine, the
+        fabric, a hardware constant — invalidates every cached result
+        instead of serving one computed by other code.  The package hash
+        is computed once per process, on first use.
         """
-        import importlib
+        return _code_version(self.module)
 
-        digest = hashlib.sha256()
-        names = [self.module, __name__, "repro.experiments.runner"]
-        for mod_name in names:
-            try:
-                mod = importlib.import_module(mod_name)
-                path = getattr(mod, "__file__", None)
-                if path:
-                    with open(path, "rb") as fh:
-                        digest.update(fh.read())
-            except Exception:
-                digest.update(mod_name.encode())
-        return digest.hexdigest()[:16]
+
+#: The ``repro`` package directory whose sources key the result cache.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+
+
+@functools.cache
+def _code_version(module: str) -> str:
+    """The package digest, plus ``module``'s bytes if it lies outside."""
+    import importlib
+
+    digest = hashlib.sha256(_package_digest().encode())
+    try:
+        path = os.path.realpath(importlib.import_module(module).__file__)
+        if os.path.commonpath([path, _PACKAGE_ROOT]) != _PACKAGE_ROOT:
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+    except (ImportError, OSError, TypeError, ValueError):  # no source file
+        digest.update(module.encode())
+    return digest.hexdigest()[:16]
+
+
+@functools.cache
+def _package_digest() -> str:
+    """SHA-256 over every ``*.py`` under the package, by relative path."""
+    files = sorted(
+        os.path.relpath(os.path.join(d, f), _PACKAGE_ROOT).replace(os.sep, "/")
+        for d, _, names in os.walk(_PACKAGE_ROOT)
+        for f in names
+        if f.endswith(".py")
+    )
+    digest = hashlib.sha256()
+    for rel in files:
+        with open(os.path.join(_PACKAGE_ROOT, rel), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def register(

@@ -36,9 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.interconnect.fabric import (
-    MIN_CELL_BYTES,
     CXLFabric,
-    _queued_stage_transmit,
+    _finish,
+    _queued_reserve,
+    _stream,
+    _Transfer,
+    _Walk,
 )
 from repro.sim import SerialLink, SimEvent
 from repro.utils.units import NS, Bandwidth
@@ -405,69 +408,35 @@ class FabricReducer:
                 in_bytes
             )
 
-        cells = fabric.params.cells_per_transfer
-        if n_bytes_per_rank <= MIN_CELL_BYTES or cells == 1:
-            cell_sizes = [n_bytes_per_rank]
-        else:
-            cell_sizes = [n_bytes_per_rank / cells] * cells
-        done = sim.event()
-        remaining = len(cell_sizes)
+        xfer = _Transfer(fabric, n_bytes_per_rank, self.tenant)
+        xfer.arrived = [0] * xfer.n_cells
+        xfer.first = [None] * xfer.n_cells
+        _stream(fabric, xfer, self.ranks, extra_delay, self._arrive_at_reducer)
+        return xfer.done
 
-        def pool_done(_ev: SimEvent) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                done.succeed(n_bytes_per_rank)
-
-        for i, cell in enumerate(cell_sizes):
-            state = {"arrived": 0, "first": None}
-            for port in self.ranks:
-                port_ev = fabric.port_links[port].transmit(
-                    cell, extra_delay=extra_delay if i == 0 else 0.0
-                )
-                port_ev.callbacks.append(
-                    lambda _ev, c=cell, p=port, s=state: self._enter_switch(
-                        c, p, s, pool_done
-                    )
-                )
-        return done
-
-    # -- stage hand-offs (event callbacks at stage-exit times) -------------
-    def _enter_switch(self, cell: float, port: int, state, pool_done) -> None:
-        fabric = self.fabric
-        ev = _queued_stage_transmit(
-            fabric,
-            fabric.switch_link,
-            cell,
-            tenant=self.tenant,
-            port=port,
-            wait_stats=fabric.stats.tenant_switch_wait,
-            span_name="switch-queue",
-            track=f"{fabric.name}-switch",
-        )
-        ev.callbacks.append(
-            lambda _ev: self._arrive_at_reducer(cell, port, state, pool_done)
-        )
-
-    def _arrive_at_reducer(
-        self, cell: float, port: int, state, pool_done
-    ) -> None:
+    # -- stage hand-offs (keyed calls at stage-exit times) -----------------
+    def _arrive_at_reducer(self, arg: tuple[_Walk, int]) -> None:
+        """One rank's cell ``i`` leaves the switch: barrier, then reduce."""
+        walk, i = arg
+        xfer = walk.xfer
         fabric = self.fabric
         sim = fabric.sim
         now = sim.now
-        if state["first"] is None:
-            state["first"] = now
-        state["arrived"] += 1
-        if state["arrived"] < self.n_ranks:
+        if xfer.first[i] is None:
+            xfer.first[i] = now
+        xfer.arrived[i] += 1
+        if xfer.arrived[i] < self.n_ranks:
             return
+        cell = xfer.cell
         # Last rank's cell is in: early arrivals waited for it.
-        wait = now - state["first"]
+        first = xfer.first[i]
+        wait = now - first
         if wait > 0.0:
             stats = fabric.stats.tenant_reduce_wait
             stats[self.tenant] = stats.get(self.tenant, 0.0) + wait
             if sim.tracer.enabled:
                 sim.tracer.add_span(
-                    state["first"],
+                    first,
                     now,
                     "reduce-wait",
                     "fabric",
@@ -476,7 +445,7 @@ class FabricReducer:
                     bytes=cell,
                 )
         # The ALU sweeps the summed inputs of this cell.
-        ev = self.alu.transmit(cell * self.n_ranks)
+        done_at = self.alu.reserve(cell * self.n_ranks)
         if sim.tracer.enabled:
             sim.tracer.add_span(
                 now,
@@ -488,9 +457,12 @@ class FabricReducer:
                 bytes=cell,
                 ranks=self.n_ranks,
             )
-        ev.callbacks.append(lambda _ev: self._enter_pool(cell, pool_done))
+        sim.call_at(done_at, self._enter_pool, (xfer, i))
 
-    def _enter_pool(self, cell: float, pool_done) -> None:
+    def _enter_pool(self, arg: tuple[_Transfer, int]) -> None:
+        """Reduced cell ``i`` leaves the ALU: book the tenant's pool."""
+        xfer, i = arg
+        cell = xfer.cell
         fabric = self.fabric
         stats = fabric.stats
         self.bytes_out += cell
@@ -501,14 +473,17 @@ class FabricReducer:
         if mx.enabled:
             mx.counter(f"{fabric.name}.reduce.out_bytes").inc(cell)
         pool = fabric.pool_link_for(self.tenant)
-        ev = _queued_stage_transmit(
+        done_at = _queued_reserve(
             fabric,
             pool,
             cell,
+            fabric.sim.now,
             tenant=self.tenant,
             port=-1,  # reduced cells no longer belong to one port
-            wait_stats=stats.tenant_pool_wait,
+            waits=stats.tenant_pool_wait,
             span_name="pool-queue",
             track=pool.name,
         )
-        ev.callbacks.append(pool_done)
+        # The pool is FIFO, so the last cell completes last.
+        if i == xfer.n_cells - 1:
+            fabric.sim.call_at(done_at, _finish, xfer)

@@ -30,11 +30,55 @@ spans land in Chrome traces for free; the fabric additionally emits
 cell waits behind other tenants' traffic, and threads per-port /
 per-tenant byte and wait accounting through :class:`FabricStats` and
 ``sim.metrics``.
+
+Event schedule
+--------------
+The timing is defined cell by cell: each cell is booked on the port
+wire, then on the switch when it leaves the port, then on the pool when
+it leaves the switch, and the transfer completes when its last cell
+leaves the pool.  Simulating that literally costs three events per cell.
+The fabric computes the same schedule with far fewer heap entries, each
+piece exact by construction:
+
+* **Cursor.**  All of a transfer's port bookings are made when it is
+  issued, as before (a lone rank's cells as one
+  ``SerialLink.reserve_train``), and its keys are handed out then
+  (``Simulator.alloc_keys``), but only the next cell's port exit sits in
+  the heap.  When it fires and the following cell's key still precedes
+  every other heap entry and ``run``'s ``until``
+  (``Simulator.advance_if_next``), that cell is handled inline: the
+  switch is booked at the cell's own port-exit time
+  (``SerialLink.reserve(at=...)``), the recursion
+  ``d_i = max(a_i, d_{i-1}) + s`` cell by cell.  Under contention the
+  transfer falls back to one entry per cell.
+* **Deferred pool hop.**  A plain transfer's non-last cell books the
+  pool from its switch-exit time ``b``, not from a switch-exit event: it
+  is recorded under a virtual key ``(b, seq, sub)`` that orders exactly
+  like the event it replaces.  Before anything else books a pool link
+  (a reducer's cell at ALU exit, a last cell's switch exit) or reads it
+  (:meth:`CXLFabric.pool_link_for`, :attr:`CXLFabric.pool_links`), the
+  hops keyed before the current event are applied in key order, and
+  ``Simulator.run``/``step`` apply what is due before they return.
+* **Completion-only events.**  Stage wires are FIFO, so a transfer's
+  last cell completes last: earlier cells' pool (or multicast) exits
+  schedule nothing, and only the last cell's switch exit, pool exit and
+  ``done`` are keyed calls, landing where the per-cell schedule puts
+  them.
+* **One walk.**  :class:`FabricPort`, the reducer and the gather unit
+  share the port → switch walk; the reduce barrier, ALU and multicast
+  hops stay keyed calls at their exit times.
+
+The exactness rule: every link is booked in the same order and at the
+same time as under the per-cell schedule, and every entry that remains
+keeps its relative ``(time, seq)`` order, so results are bit-identical.
+``tests/_fabric_reference.py`` keeps the per-cell schedule, and
+``tests/test_fabric_exact.py`` checks the two against each other.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 
 from repro.interconnect.cxl import CXLLinkModel
@@ -66,32 +110,199 @@ DEFAULT_CELLS_PER_TRANSFER = 32
 MIN_CELL_BYTES = 4096
 
 
-def _queued_stage_transmit(
+class _Transfer:
+    """One ``transmit``/``reduce``/``gather`` call in flight.
+
+    ``arrived``/``first`` are the per-cell rank barrier of the reduce
+    and gather stages (arrivals so far, time of the first).
+    """
+
+    __slots__ = ("done", "n_bytes", "cell", "n_cells", "tenant", "arrived", "first")
+
+    def __init__(self, fabric: "CXLFabric", n_bytes: float, tenant: int):
+        self.done = SimEvent(fabric.sim)
+        self.n_bytes = n_bytes
+        cells = fabric.params.cells_per_transfer
+        if n_bytes <= MIN_CELL_BYTES or cells == 1:
+            self.n_cells, self.cell = 1, n_bytes
+        else:
+            self.n_cells, self.cell = cells, n_bytes / cells
+        self.tenant = tenant
+        self.arrived: list[int] | None = None
+        self.first: list[float | None] | None = None
+
+
+def _finish(xfer: _Transfer) -> None:
+    xfer.done.succeed(xfer.n_bytes)
+
+
+class _Walk:
+    """The cursor of one rank's cells from its port wire into the switch.
+
+    ``times[i]`` is cell ``i``'s port-exit time and ``seq + i * stride``
+    its key, both fixed when the port wire was booked; only the next
+    cell's entry sits in the heap.  ``sink`` runs at each cell's switch
+    exit with ``(walk, i)``; ``None`` (a plain :class:`FabricPort`
+    transfer) defers every cell but the last to the pool stage instead.
+    """
+
+    __slots__ = ("fabric", "xfer", "port", "times", "seq", "stride", "i", "sink")
+
+    def __init__(self, fabric: "CXLFabric", xfer: _Transfer, port: int, sink):
+        self.fabric = fabric
+        self.xfer = xfer
+        self.port = port
+        self.times: list[float] = []
+        self.seq = 0
+        self.stride = 1
+        self.i = 0
+        self.sink = sink
+
+
+def _stream(
+    fabric: "CXLFabric",
+    xfer: _Transfer,
+    ports: list[int],
+    extra_delay: float,
+    sink,
+) -> None:
+    """Book every cell of ``xfer`` on each rank's port wire and start
+    one cursor per rank.
+
+    The bookings and their keys follow the per-cell schedule exactly:
+    cell by cell, rank by rank within a cell, ``extra_delay`` ahead of
+    each rank's first cell, keys handed out in that order.
+    """
+    sim = fabric.sim
+    now = sim.now
+    cell, n = xfer.cell, xfer.n_cells
+    walks = [_Walk(fabric, xfer, port, sink) for port in ports]
+    links = [fabric.port_links[port] for port in ports]
+    # A lone rank books its cells as one train; several ranks book cell
+    # by cell, rank by rank (ranks may share a wire, and the trace keeps
+    # the per-cell order).
+    train = n if len(links) == 1 else 1
+    x = extra_delay
+    for _ in range(n // train):
+        for walk, wire in zip(walks, links):
+            walk.times += [now + (d - now) for d in wire.reserve_train(cell, train, x)]
+        x = 0.0
+    if any(walk.times[0] < now for walk in walks):
+        raise ValueError(f"negative delay: extra_delay={extra_delay}")
+    R = len(walks)
+    seq0 = sim.alloc_keys(n * R)
+    for r, walk in enumerate(walks):
+        walk.seq = seq0 + r
+        walk.stride = R
+        sim.push_keyed(walk.times[0], walk.seq, _advance, walk)
+
+
+def _advance(walk: _Walk) -> None:
+    """Heap callback: walk's next cell leaves its port wire.
+
+    Books the switch for that cell and, while the rank's following cell
+    is still the earliest entry of the whole simulation (and due before
+    ``run``'s ``until``), keeps going inline: the tandem recursion
+    ``d_i = max(a_i, d_{i-1}) + s`` cell by cell, with the switch booked
+    at each cell's own port-exit time.  Otherwise the following cell
+    goes back on the heap under its own key, so under contention every
+    cell is one entry.
+    """
+    fabric = walk.fabric
+    sim = fabric.sim
+    xfer = walk.xfer
+    tenant, port, cell = xfer.tenant, walk.port, xfer.cell
+    last = xfer.n_cells - 1
+    times, stride, sink = walk.times, walk.stride, walk.sink
+    i = walk.i
+    seq = walk.seq + i * stride
+    sw = fabric.switch_link
+    waits = fabric.stats.tenant_switch_wait
+    pool = fabric._pool_links[fabric._pool_of[tenant]]
+    while True:
+        a = times[i]
+        exit_at = _queued_reserve(
+            fabric,
+            sw,
+            cell,
+            a,
+            tenant=tenant,
+            port=port,
+            waits=waits,
+            span_name="switch-queue",
+            track=sw.name,
+        )
+        if sink is not None:
+            sim.call_at(exit_at, sink, (walk, i))
+        elif i < last:
+            # Deferred pool hop, keyed like the switch-exit event it
+            # replaces: at its exit time, after every key handed out so
+            # far.
+            fabric._sub += 1
+            b = a + (exit_at - a)
+            heapq.heappush(
+                fabric._pending,
+                (b, sim.last_key, fabric._sub, cell, pool, tenant, port),
+            )
+        else:
+            sim.call_at(exit_at, _port_switch_exit, walk)
+        if i == last:
+            break
+        i += 1
+        seq += stride
+        if not sim.advance_if_next(times[i], seq):
+            sim.push_keyed(times[i], seq, _advance, walk)
+            break
+    walk.i = i
+
+
+def _port_switch_exit(walk: _Walk) -> None:
+    """A plain transfer's last cell leaves the switch: pool it now."""
+    fabric = walk.fabric
+    sim = fabric.sim
+    xfer = walk.xfer
+    pool = fabric.pool_link_for(xfer.tenant)
+    done_at = _queued_reserve(
+        fabric,
+        pool,
+        xfer.cell,
+        sim.now,
+        tenant=xfer.tenant,
+        port=walk.port,
+        waits=fabric.stats.tenant_pool_wait,
+        span_name="pool-queue",
+        track=pool.name,
+    )
+    sim.call_at(done_at, _finish, xfer)
+
+
+def _queued_reserve(
     fabric: "CXLFabric",
     link: SerialLink,
     cell: float,
+    at: float,
     *,
     tenant: int,
     port: int,
-    wait_stats: dict[int, float],
+    waits: dict[int, float],
     span_name: str,
     track: str,
-) -> SimEvent:
-    """Send one cell through a fabric stage, accounting queueing.
+) -> float:
+    """Book one cell on a fabric stage at sim time ``at``, accounting
+    its queueing.
 
-    If the stage wire is busy on arrival the wait is charged to
-    ``wait_stats[tenant]`` and (when tracing) emitted as a ``span_name``
-    span in category ``fabric`` — the shared bookkeeping behind both
-    plain :class:`FabricPort` transfers and the in-fabric reduce path.
+    If the stage wire is busy, the wait is charged to ``waits[tenant]``
+    and (when tracing) emitted as a ``span_name`` span in category
+    ``fabric``.  Returns the cell's delivery time.
     """
-    sim = fabric.sim
-    wait = max(0.0, link.free_at - sim.now)
+    wait = link.free_at - at
     if wait > 0.0:
-        wait_stats[tenant] = wait_stats.get(tenant, 0.0) + wait
-        if sim.tracer.enabled:
-            sim.tracer.add_span(
-                sim.now,
-                sim.now + wait,
+        waits[tenant] = waits.get(tenant, 0.0) + wait
+        tracer = fabric.sim.tracer
+        if tracer.enabled:
+            tracer.add_span(
+                at,
+                at + wait,
                 span_name,
                 "fabric",
                 track=track,
@@ -99,7 +310,7 @@ def _queued_stage_transmit(
                 port=port,
                 bytes=cell,
             )
-    return link.transmit(cell)
+    return link.reserve(cell, 0.0, at)
 
 
 class PartitionPolicy(enum.Enum):
@@ -389,6 +600,16 @@ class FabricPort:
         Returns the end-to-end delivery event (fires when the last cell
         leaves the pool stage).  ``extra_delay`` is charged once, ahead
         of the first cell (DMA setup / aggregation front-end).
+
+        Every cell is booked on the port wire now.  One cursor then
+        walks the cells into the switch as they leave the port,
+        coalescing consecutive cells while nothing else is due; each
+        non-last cell's pool booking is deferred under the virtual key
+        of its switch exit and applied, in key order, before the pool
+        link is next booked or read.  Only the last cell's switch exit,
+        pool exit and the returned event are heap entries.  The result
+        is bit-identical to the per-cell event schedule (see the module
+        docstring).
         """
         if n_bytes < 0:
             raise ValueError("n_bytes must be non-negative")
@@ -401,59 +622,9 @@ class FabricPort:
             mx.counter(f"{fabric.name}.tenant{self.tenant}.bytes").inc(n_bytes)
             mx.counter(f"{fabric.name}.port{self.port_index}.bytes").inc(n_bytes)
 
-        cells = fabric.params.cells_per_transfer
-        if n_bytes <= MIN_CELL_BYTES or cells == 1:
-            cell_sizes = [n_bytes]
-        else:
-            per = n_bytes / cells
-            cell_sizes = [per] * cells
-        done = sim.event()
-        remaining = len(cell_sizes)
-
-        def pool_done(_ev: SimEvent) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                done.succeed(n_bytes)
-
-        for i, cell in enumerate(cell_sizes):
-            port_ev = self._wire.transmit(
-                cell, extra_delay=extra_delay if i == 0 else 0.0
-            )
-            port_ev.callbacks.append(
-                lambda _ev, c=cell: self._enter_switch(c, pool_done)
-            )
-        return done
-
-    # -- stage hand-offs (run as event callbacks at stage-exit times) ------
-    def _enter_switch(self, cell: float, pool_done) -> None:
-        fabric = self.fabric
-        ev = _queued_stage_transmit(
-            fabric,
-            fabric.switch_link,
-            cell,
-            tenant=self.tenant,
-            port=self.port_index,
-            wait_stats=fabric.stats.tenant_switch_wait,
-            span_name="switch-queue",
-            track=f"{fabric.name}-switch",
-        )
-        ev.callbacks.append(lambda _ev: self._enter_pool(cell, pool_done))
-
-    def _enter_pool(self, cell: float, pool_done) -> None:
-        fabric = self.fabric
-        pool = fabric.pool_link_for(self.tenant)
-        ev = _queued_stage_transmit(
-            fabric,
-            pool,
-            cell,
-            tenant=self.tenant,
-            port=self.port_index,
-            wait_stats=fabric.stats.tenant_pool_wait,
-            span_name="pool-queue",
-            track=pool.name,
-        )
-        ev.callbacks.append(pool_done)
+        xfer = _Transfer(fabric, n_bytes, self.tenant)
+        _stream(fabric, xfer, [self.port_index], extra_delay, None)
+        return xfer.done
 
 
 class CXLFabric:
@@ -511,6 +682,18 @@ class CXLFabric:
             ]
         self.stats = FabricStats()
         self._attachments: list[FabricPort] = []
+        #: The deferred pool hops of plain-transfer cells: a heap of
+        #: ``(time, seq, sub, cell, pool_link, tenant, port)`` whose first
+        #: three fields order each hop like the switch-exit event it
+        #: replaces.
+        self._pending: list[tuple] = []
+        self._sub = 0
+        #: Index into ``_pool_links`` per tenant.
+        self._pool_of = [
+            0 if p.policy is PartitionPolicy.SHARED else t
+            for t in range(p.n_tenants)
+        ]
+        sim.add_deferred(self._flush)
 
     def port(self, port_index: int, tenant: int = 0) -> FabricPort:
         """An attachment for ``tenant`` on host port ``port_index``."""
@@ -529,15 +712,46 @@ class CXLFabric:
         return attachment
 
     def pool_link_for(self, tenant: int) -> SerialLink:
-        """The pool-stage link serving ``tenant`` under the policy."""
-        if self.params.policy is PartitionPolicy.SHARED:
-            return self._pool_links[0]
-        return self._pool_links[tenant]
+        """The pool-stage link serving ``tenant`` under the policy.
+
+        Deferred pool hops due before the current event are applied
+        first, so the link's state is the per-cell schedule's.
+        """
+        self._flush(*self.sim.current_key)
+        return self._pool_links[self._pool_of[tenant]]
 
     @property
     def pool_links(self) -> list[SerialLink]:
-        """All pool-stage links (one, or one per tenant)."""
+        """All pool-stage links (one, or one per tenant), up to date."""
+        self._flush(*self.sim.current_key)
         return list(self._pool_links)
+
+    def _flush(self, time: float, seq: float) -> None:
+        """Apply the deferred pool hops keyed before ``(time, seq)``.
+
+        Each hop books its pool link exactly as its switch-exit event
+        would have, at its own exit time ``b``.  One heap across all pool
+        links keeps every pool booking (and so the order in which
+        tenants first appear in the wait accounting) in the per-cell
+        schedule's order.
+        """
+        pending = self._pending
+        while pending:
+            b, s, _, cell, pool, tenant, port = pending[0]
+            if b > time or (b == time and s >= seq):
+                break
+            heapq.heappop(pending)
+            _queued_reserve(
+                self,
+                pool,
+                cell,
+                b,
+                tenant=tenant,
+                port=port,
+                waits=self.stats.tenant_pool_wait,
+                span_name="pool-queue",
+                track=pool.name,
+            )
 
     def reducer(self, ranks, tenant: int = 0, **kwargs):
         """An in-fabric reduction stage over ``ranks`` port indices.

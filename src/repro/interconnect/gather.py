@@ -32,9 +32,12 @@ every shard.
 from __future__ import annotations
 
 from repro.interconnect.fabric import (
-    MIN_CELL_BYTES,
     CXLFabric,
-    _queued_stage_transmit,
+    _finish,
+    _queued_reserve,
+    _stream,
+    _Transfer,
+    _Walk,
 )
 from repro.sim import SimEvent
 
@@ -105,10 +108,10 @@ class FabricGather:
         stats = fabric.stats
         R = self.n_ranks
 
-        done = sim.event()
+        xfer = _Transfer(fabric, shard_bytes, self.tenant)
         if R == 1 or shard_bytes == 0.0:
-            done.succeed(shard_bytes)
-            return done
+            xfer.done.succeed(shard_bytes)
+            return xfer.done
 
         in_bytes = shard_bytes * R
         self.bytes_in += in_bytes
@@ -124,84 +127,49 @@ class FabricGather:
                 in_bytes
             )
 
-        cells = fabric.params.cells_per_transfer
-        if shard_bytes <= MIN_CELL_BYTES or cells == 1:
-            cell_sizes = [shard_bytes]
-        else:
-            cell_sizes = [shard_bytes / cells] * cells
-        # One downlink delivery per (cell, rank).
-        remaining = len(cell_sizes) * R
+        xfer.arrived = [0] * xfer.n_cells
+        xfer.first = [None] * xfer.n_cells
+        _stream(fabric, xfer, self.ranks, extra_delay, self._arrive_at_gather)
+        return xfer.done
 
-        def down_done(_ev: SimEvent) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                done.succeed(shard_bytes)
-
-        for i, cell in enumerate(cell_sizes):
-            state = {"arrived": 0, "first": None}
-            for port in self.ranks:
-                port_ev = fabric.port_links[port].transmit(
-                    cell, extra_delay=extra_delay if i == 0 else 0.0
-                )
-                port_ev.callbacks.append(
-                    lambda _ev, c=cell, p=port, s=state: self._enter_switch(
-                        c, p, s, down_done
-                    )
-                )
-        return done
-
-    # -- stage hand-offs (event callbacks at stage-exit times) -------------
-    def _enter_switch(self, cell: float, port: int, state, down_done) -> None:
-        fabric = self.fabric
-        ev = _queued_stage_transmit(
-            fabric,
-            fabric.switch_link,
-            cell,
-            tenant=self.tenant,
-            port=port,
-            wait_stats=fabric.stats.tenant_switch_wait,
-            span_name="switch-queue",
-            track=f"{fabric.name}-switch",
-        )
-        ev.callbacks.append(
-            lambda _ev: self._arrive_at_gather(cell, port, state, down_done)
-        )
-
-    def _arrive_at_gather(
-        self, cell: float, port: int, state, down_done
-    ) -> None:
+    # -- stage hand-offs (keyed calls at stage-exit times) -----------------
+    def _arrive_at_gather(self, arg: tuple[_Walk, int]) -> None:
+        """One rank's cell ``i`` leaves the switch: barrier, then multicast."""
+        walk, i = arg
+        xfer = walk.xfer
         fabric = self.fabric
         sim = fabric.sim
         now = sim.now
-        if state["first"] is None:
-            state["first"] = now
-        state["arrived"] += 1
-        if state["arrived"] < self.n_ranks:
+        if xfer.first[i] is None:
+            xfer.first[i] = now
+        xfer.arrived[i] += 1
+        if xfer.arrived[i] < self.n_ranks:
             return
         # Last rank's cell is in: early arrivals waited at the barrier.
-        wait = now - state["first"]
+        first = xfer.first[i]
+        wait = now - first
         if wait > 0.0:
             waits = fabric.stats.tenant_gather_wait
             waits[self.tenant] = waits.get(self.tenant, 0.0) + wait
             if sim.tracer.enabled:
                 sim.tracer.add_span(
-                    state["first"],
+                    first,
                     now,
                     "gather-wait",
                     "fabric",
                     track=self.name,
                     tenant=self.tenant,
-                    bytes=cell,
+                    bytes=xfer.cell,
                 )
-        self._multicast(cell, down_done)
+        self._multicast(xfer, i)
 
-    def _multicast(self, cell: float, down_done) -> None:
+    def _multicast(self, xfer: _Transfer, i: int) -> None:
         """Ship each rank's missing ``R - 1`` peer cells down its port."""
         fabric = self.fabric
         sim = fabric.sim
         stats = fabric.stats
         R = self.n_ranks
+        cell = xfer.cell
         out = cell * (R - 1) * R
         self.bytes_out += out
         stats.tenant_gather_out_bytes[self.tenant] = (
@@ -210,22 +178,29 @@ class FabricGather:
         mx = sim.metrics
         if mx.enabled:
             mx.counter(f"{fabric.name}.gather.out_bytes").inc(out)
+        latest = sim.now
         for port in self.ranks:
             down = cell * (R - 1)
             stats._account_bytes(port, self.tenant, down)
             # Egress head-of-line blocking on a busy port downlink is
             # charged as switch-side queueing (the cells are parked in
             # the switch until the port wire frees up).
-            ev = _queued_stage_transmit(
-                fabric,
-                fabric.port_links[port],
-                down,
-                tenant=self.tenant,
-                port=port,
-                wait_stats=fabric.stats.tenant_switch_wait,
-                span_name="gather-egress-queue",
-                track=fabric.port_links[port].name,
+            link = fabric.port_links[port]
+            latest = max(
+                latest,
+                _queued_reserve(
+                    fabric,
+                    link,
+                    down,
+                    sim.now,
+                    tenant=self.tenant,
+                    port=port,
+                    waits=stats.tenant_switch_wait,
+                    span_name="gather-egress-queue",
+                    track=link.name,
+                ),
             )
-            # Each rank's downlink delivery counts once toward `done`,
-            # regardless of how the peer cells pack onto the wire.
-            ev.callbacks.append(down_done)
+        # Every port wire is FIFO, so the last cell's deliveries are the
+        # last ones; the gather completes at the latest of them.
+        if i == xfer.n_cells - 1:
+            sim.call_at(latest, _finish, xfer)

@@ -171,41 +171,106 @@ class SerialLink:
 
         ``extra_delay`` models per-transfer processing (e.g. the 1 ns
         Aggregator latency) added before the payload reaches the wire.
+        The bookkeeping is :meth:`reserve`'s, inlined: this is the hot
+        path of every engine.
         """
         if n_bytes < 0:
             raise ValueError("n_bytes must be non-negative")
-        start = max(self.sim.now + extra_delay, self._wire_free_at)
+        sim = self.sim
+        now = sim.now
+        start = max(now + extra_delay, self._wire_free_at)
         duration = self.bandwidth.time_for(n_bytes)
-        self._wire_free_at = start + duration
+        self._wire_free_at = end = start + duration
         self.busy_time += duration
         self.bytes_sent += n_bytes
         self.transfers += 1
+        if sim.tracer.enabled or sim.metrics.enabled:
+            self._observe(now, start, end, self.busy_time, n_bytes)
+        ev = SimEvent(sim)
+        ev.succeed(n_bytes, delay=end + self.latency - now)
+        return ev
+
+    def reserve(
+        self, n_bytes: float, extra_delay: float = 0.0, at: float | None = None
+    ) -> float:
+        """Book the wire for a transfer; return its delivery time.
+
+        Does all of :meth:`transmit`'s accounting (wire occupancy,
+        ``busy_time``, ``bytes_sent``, ``transfers``, the ``xfer`` span
+        and the metrics) but allocates no event: for callers that hand
+        the delivery time to :meth:`Simulator.call_at` or fold it into
+        their own schedule.  ``at`` books as if called at that sim time
+        instead of now — for a component that computes, in order, the
+        bookings its own stage-exit events would have made.
+        """
+        if n_bytes < 0:
+            raise ValueError("n_bytes must be non-negative")
+        sim = self.sim
+        now = sim.now if at is None else at
+        start = now + extra_delay
+        free = self._wire_free_at
+        if free > start:
+            start = free
+        duration = self.bandwidth.time_for(n_bytes)
+        self._wire_free_at = end = start + duration
+        self.busy_time += duration
+        self.bytes_sent += n_bytes
+        self.transfers += 1
+        if sim.tracer.enabled or sim.metrics.enabled:
+            self._observe(now, start, end, self.busy_time, n_bytes)
+        return end + self.latency
+
+    def reserve_train(
+        self, n_bytes: float, count: int, extra_delay: float = 0.0
+    ) -> list[float]:
+        """Book ``count`` transfers of ``n_bytes`` back to back, now;
+        return their delivery times.
+
+        The same bookings, in the same order and with the same float
+        operations, as ``count`` :meth:`reserve` calls of which only the
+        first carries ``extra_delay`` — without a call per transfer.
+        """
+        if n_bytes < 0:
+            raise ValueError("n_bytes must be non-negative")
+        sim = self.sim
+        now = sim.now
+        observe = sim.tracer.enabled or sim.metrics.enabled
+        duration = self.bandwidth.time_for(n_bytes)
+        latency = self.latency
+        free, busy, sent = self._wire_free_at, self.busy_time, self.bytes_sent
+        done = []
+        ready = now + extra_delay
+        for _ in range(count):
+            start = free if free > ready else ready
+            free = start + duration
+            busy += duration
+            sent += n_bytes
+            if observe:
+                self._observe(now, start, free, busy, n_bytes)
+            done.append(free + latency)
+            ready = now
+        self._wire_free_at, self.busy_time, self.bytes_sent = free, busy, sent
+        self.transfers += count
+        return done
+
+    def _observe(
+        self, now: float, start: float, end: float, busy: float, n_bytes: float
+    ) -> None:
+        """Trace and count one booking made at ``now`` (wire ``start``
+        to ``end``, cumulative ``busy`` seconds after it)."""
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.add_span(
-                start,
-                self._wire_free_at,
-                "xfer",
-                "link",
-                track=self.name,
-                bytes=n_bytes,
+                start, end, "xfer", "link", track=self.name, bytes=n_bytes
             )
         metrics = self.sim.metrics
         if metrics.enabled:
             metrics.counter(f"{self.name}.bytes").inc(n_bytes)
             metrics.counter(f"{self.name}.transfers").inc()
-            if self._wire_free_at > 0:
+            if end > 0:
                 # Honest cumulative occupancy up to the wire-busy horizon:
                 # by construction <= 1; a larger value is an accounting bug.
-                metrics.sample(
-                    f"{self.name}.utilization",
-                    self.sim.now,
-                    self.busy_time / self._wire_free_at,
-                )
-        done_at = self._wire_free_at + self.latency
-        ev = self.sim.event()
-        ev.succeed(n_bytes, delay=done_at - self.sim.now)
-        return ev
+                metrics.sample(f"{self.name}.utilization", now, busy / end)
 
     @property
     def free_at(self) -> float:

@@ -32,7 +32,7 @@ def spmm(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     csr = matrix.tocsr()
     out_data = np.asarray(csr @ x.data, dtype=np.float32)
 
-    def backward(grad: np.ndarray, a=x) -> None:
+    def backward(out, grad: np.ndarray, a=x) -> None:
         out._send(a, np.asarray(csr.T @ grad, dtype=np.float32))
 
     out = x._make(out_data, (x,), backward)

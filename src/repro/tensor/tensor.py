@@ -78,7 +78,12 @@ class Tensor:
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[np.ndarray], None] | None = None
+        #: ``backward(out, grad)``: routes ``grad`` (w.r.t. this tensor,
+        #: passed as ``out``) to the parents.  Taking the output as an
+        #: argument instead of closing over it keeps the graph free of
+        #: reference cycles, so it is freed as soon as its root is dropped
+        #: rather than whenever the cyclic collector next runs.
+        self._backward: Callable[[Tensor, np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self.name = name
 
@@ -142,7 +147,7 @@ class Tensor:
         self,
         data: np.ndarray,
         parents: tuple["Tensor", ...],
-        backward: Callable[[np.ndarray], None],
+        backward: Callable[["Tensor", np.ndarray], None],
     ) -> "Tensor":
         requires = _grad_enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
@@ -210,7 +215,7 @@ class Tensor:
         assert self._backward is not None
         self._pending_sink = grads  # type: ignore[attr-defined]
         try:
-            self._backward(grad)
+            self._backward(self, grad)
         finally:
             del self._pending_sink  # type: ignore[attr-defined]
 
@@ -231,7 +236,7 @@ class Tensor:
         other = self._coerce(other)
         out_data = self.data + other.data
 
-        def backward(grad: np.ndarray, a=self, b=other) -> None:
+        def backward(out, grad: np.ndarray, a=self, b=other) -> None:
             if a.requires_grad:
                 out._send(a, _unbroadcast(grad, a.shape))
             if b.requires_grad:
@@ -243,7 +248,7 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray, a=self) -> None:
+        def backward(out, grad: np.ndarray, a=self) -> None:
             out._send(a, -grad)
 
         out = self._make(-self.data, (self,), backward)
@@ -259,7 +264,7 @@ class Tensor:
         other = self._coerce(other)
         out_data = self.data * other.data
 
-        def backward(grad: np.ndarray, a=self, b=other) -> None:
+        def backward(out, grad: np.ndarray, a=self, b=other) -> None:
             if a.requires_grad:
                 out._send(a, _unbroadcast(grad * b.data, a.shape))
             if b.requires_grad:
@@ -274,7 +279,7 @@ class Tensor:
         other = self._coerce(other)
         out_data = self.data / other.data
 
-        def backward(grad: np.ndarray, a=self, b=other) -> None:
+        def backward(out, grad: np.ndarray, a=self, b=other) -> None:
             if a.requires_grad:
                 out._send(a, _unbroadcast(grad / b.data, a.shape))
             if b.requires_grad:
@@ -294,7 +299,7 @@ class Tensor:
             raise TypeError("only scalar exponents supported")
         out_data = self.data**exponent
 
-        def backward(grad: np.ndarray, a=self, e=exponent) -> None:
+        def backward(out, grad: np.ndarray, a=self, e=exponent) -> None:
             out._send(a, grad * e * a.data ** (e - 1))
 
         out = self._make(out_data, (self,), backward)
@@ -304,7 +309,7 @@ class Tensor:
         other = self._coerce(other)
         out_data = self.data @ other.data
 
-        def backward(grad: np.ndarray, a=self, b=other) -> None:
+        def backward(out, grad: np.ndarray, a=self, b=other) -> None:
             if a.requires_grad:
                 ga = grad @ np.swapaxes(b.data, -1, -2)
                 out._send(a, _unbroadcast(ga, a.shape))
@@ -320,7 +325,7 @@ class Tensor:
         """Sum over ``axis`` (all elements by default)."""
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
-        def backward(grad: np.ndarray, a=self) -> None:
+        def backward(out, grad: np.ndarray, a=self) -> None:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
@@ -342,7 +347,7 @@ class Tensor:
         """Maximum over ``axis``; gradient flows to the argmax."""
         out_data = self.data.max(axis=axis, keepdims=keepdims)
 
-        def backward(grad: np.ndarray, a=self) -> None:
+        def backward(out, grad: np.ndarray, a=self) -> None:
             g = grad
             od = out_data
             if axis is not None and not keepdims:
@@ -360,7 +365,7 @@ class Tensor:
         """View with a new shape."""
         out_data = self.data.reshape(shape)
 
-        def backward(grad: np.ndarray, a=self) -> None:
+        def backward(out, grad: np.ndarray, a=self) -> None:
             out._send(a, grad.reshape(a.shape))
 
         out = self._make(out_data, (self,), backward)
@@ -372,7 +377,7 @@ class Tensor:
         out_data = self.data.transpose(axes_t)
         inverse = tuple(np.argsort(axes_t))
 
-        def backward(grad: np.ndarray, a=self) -> None:
+        def backward(out, grad: np.ndarray, a=self) -> None:
             out._send(a, grad.transpose(inverse))
 
         out = self._make(out_data, (self,), backward)
@@ -382,7 +387,7 @@ class Tensor:
         """Exchange two dimensions."""
         out_data = np.swapaxes(self.data, a1, a2)
 
-        def backward(grad: np.ndarray, a=self) -> None:
+        def backward(out, grad: np.ndarray, a=self) -> None:
             out._send(a, np.swapaxes(grad, a1, a2))
 
         out = self._make(out_data, (self,), backward)
@@ -391,7 +396,7 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
 
-        def backward(grad: np.ndarray, a=self) -> None:
+        def backward(out, grad: np.ndarray, a=self) -> None:
             full = np.zeros_like(a.data)
             np.add.at(full, index, grad)
             out._send(a, full)
@@ -408,7 +413,7 @@ class Tensor:
         """Generic elementwise op: ``dfn(x, y)`` is dy/dx given input/output."""
         out_data = fn(self.data)
 
-        def backward(grad: np.ndarray, a=self) -> None:
+        def backward(out, grad: np.ndarray, a=self) -> None:
             out._send(a, grad * dfn(a.data, out_data))
 
         out = self._make(np.asarray(out_data, dtype=np.float32), (self,), backward)
@@ -423,7 +428,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward(grad: np.ndarray) -> None:
+    def backward(out, grad: np.ndarray) -> None:
         for t, start, end in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 idx = [slice(None)] * grad.ndim

@@ -18,6 +18,10 @@ Covers the acceptance criteria of the registry refactor:
 from __future__ import annotations
 
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,46 @@ def test_cache_invalidates_on_param_seed_and_code_change(tmp_path):
     # the stored entry round-trips through JSON bit-exactly
     reloaded = cache.get("dpu", params, 0, code)
     assert reloaded.rows == result.rows
+
+
+_CACHED_RUN = """
+import sys
+from repro.experiments import registry
+from repro.experiments.cache import ResultCache
+result = registry.run_experiment("models", cache=ResultCache(root=sys.argv[1]))
+print(result.meta["cached"], result.meta["code_version"])
+"""
+
+
+def test_cache_misses_after_shared_module_edit(tmp_path):
+    """Editing a module no experiment defines must still invalidate."""
+    src = tmp_path / "src"
+    shutil.copytree(
+        Path(registry.__file__).resolve().parents[2],
+        src,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    cache_dir = tmp_path / "cache"
+
+    def run() -> list[str]:
+        out = subprocess.run(
+            [sys.executable, "-c", _CACHED_RUN, str(cache_dir)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return out.stdout.split()
+
+    cached0, version0 = run()
+    cached1, version1 = run()
+    assert (cached0, cached1) == ("False", "True")
+    assert version1 == version0
+    shared = src / "repro" / "sim" / "resources.py"
+    shared.write_text(shared.read_text() + "\n_EDITED = True\n")
+    cached2, version2 = run()
+    assert cached2 == "False"
+    assert version2 != version0
 
 
 def test_cache_disabled_and_clear(tmp_path):

@@ -518,3 +518,23 @@ class TestFencePropertyOnSharedFabricPort:
         wire_bytes = ctrl.wire_bytes_sent
         lower_bound = wire_bytes / (1 * GB)
         assert fence_result["fired"] >= lower_bound * (1 - 1e-9)
+
+
+#: Seed-0 result hashes of the fabric experiments, recorded with the
+#: per-cell event schedule the fabric cursor replaced: the cursor must
+#: reproduce them bit for bit.  ``fig_aggregation`` runs reducers under
+#: every partition policy.
+FABRIC_RESULT_HASHES = {
+    "fig_aggregation": "771b3f92bfa4e0eb439cb1a7f8a9870a0fdc3b1cd9f3e93202806f69ec35d32b",
+    "fig_fabric": "0e302184db47fdeb42a67bb67fc060f9ffb9dc6f04e5b120f8108d5c54880782",
+    "fig_zero3": "f6ee27ff357f80b95e2f0d1f78a9db8ea4e8257e67937b706f58c68a4eec5a59",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(FABRIC_RESULT_HASHES))
+def test_fabric_experiment_hash_pinned(name):
+    from repro.experiments import registry
+
+    result = registry.run_experiment(name, seed=0)
+    assert result.result_hash == FABRIC_RESULT_HASHES[name]

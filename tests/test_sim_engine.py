@@ -223,6 +223,138 @@ class TestProcesses:
         with pytest.raises(TypeError):
             sim.run()
 
+    def test_unhandled_process_failure_raises_from_run(self):
+        """A crashed process nothing waits on must not pass silently."""
+        sim = Simulator()
+
+        def bad(sim):
+            yield sim.timeout(1)
+            raise ValueError("boom")
+
+        sim.process(bad(sim))
+        with pytest.raises(ValueError, match="boom"):
+            sim.run()
+        assert sim.now == 1.0
+
+    def test_unhandled_event_failure_raises_from_step(self):
+        sim = Simulator()
+        sim.event().fail(KeyError("lost"))
+        with pytest.raises(KeyError):
+            sim.step()
+
+    def test_handled_failure_does_not_raise(self):
+        sim = Simulator()
+        caught = []
+
+        def bad(sim):
+            yield sim.timeout(1)
+            raise ValueError("boom")
+
+        def main(sim):
+            try:
+                yield sim.all_of([sim.process(bad(sim)), sim.timeout(2)])
+            except ValueError as exc:
+                caught.append((sim.now, str(exc)))
+
+        sim.process(main(sim))
+        sim.run()
+        assert caught == [(1.0, "boom")]
+
+    def test_late_join_raises_from_run_then_reaches_joiner(self):
+        """A waiter must be attached before the failure fires: a child
+        that fails before its parent joins it raises from ``run()``; a
+        join after that raise still throws the exception into the
+        parent."""
+        sim = Simulator()
+        caught = []
+
+        def child(sim):
+            yield sim.timeout(1)
+            raise ValueError("boom")
+
+        def parent(sim):
+            p = sim.process(child(sim))
+            yield sim.timeout(2)
+            try:
+                yield p
+            except ValueError as exc:
+                caught.append((sim.now, str(exc)))
+
+        sim.process(parent(sim))
+        with pytest.raises(ValueError, match="boom"):
+            sim.run()
+        assert sim.now == 1.0 and caught == []
+        sim.run()
+        assert caught == [(2.0, "boom")]
+
+
+class TestCallAt:
+    def test_keyed_call_orders_like_the_event_it_replaces(self):
+        """``call_at(t)`` takes an event's key ``now + (t - now)``: it
+        fires in push order among events due at the same time."""
+        sim = Simulator()
+        order = []
+        sim.timeout(0.1).callbacks.append(lambda e: order.append("event"))
+        sim.call_at(0.1, order.append, "call")
+        sim.timeout(0.1).callbacks.append(lambda e: order.append("late"))
+        sim.run()
+        assert order == ["event", "call", "late"]
+
+    def test_keyed_call_key_matches_succeed_delay(self):
+        sim = Simulator()
+        sim.timeout(0.3).callbacks.append(lambda e: None)
+        sim.run()
+        t = 0.7000000000000001
+        sim.call_at(t, lambda arg: None, None)
+        sim.event().succeed(delay=t - sim.now)
+        (t1, *_), (t2, *_) = sorted(sim._heap, key=lambda e: e[1])
+        assert t1 == t2 == sim.now + (t - sim.now)
+
+    def test_past_time_rejected(self):
+        sim = Simulator()
+        sim.timeout(1.0)
+        sim.run()
+        with pytest.raises(ValueError):
+            sim.call_at(0.5, print, None)
+        with pytest.raises(ValueError):
+            sim.push_keyed(0.5, sim.alloc_keys(1), print, None)
+
+
+class TestKeyedScheduling:
+    def test_allocated_keys_order_like_events_pushed_now(self):
+        """Keys from ``alloc_keys`` sit where events pushed at that
+        moment would, even when their entries are pushed later."""
+        sim = Simulator()
+        order = []
+        first = sim.alloc_keys(2)
+        assert sim.last_key == first + 1
+        sim.timeout(1.0).callbacks.append(lambda e: order.append("event"))
+        sim.push_keyed(1.0, first + 1, order.append, "second")
+        sim.push_keyed(1.0, first, order.append, "first")
+        sim.run()
+        assert order == ["first", "second", "event"]
+
+    def test_advance_if_next(self):
+        sim = Simulator()
+        seen = []
+
+        def probe(_arg):
+            seq = sim.alloc_keys(3)
+            # Behind the head entry at 2.0: refused, clock unmoved.
+            seen.append(sim.advance_if_next(2.0, seq + 2))
+            seen.append(sim.now)
+            # Ahead of it (same time, earlier key): the clock moves.
+            seen.append(sim.advance_if_next(1.5, seq))
+            seen.append(sim.current_key == (1.5, seq))
+            # Past run's until: refused.
+            seen.append(sim.advance_if_next(2.5, seq + 1))
+
+        sim.call_at(1.0, probe, None)
+        sim.timeout(2.0)
+        sim.run(until=2.2)
+        assert seen == [False, 1.0, True, True, False]
+        assert not sim.advance_if_next(3.0, sim.alloc_keys(1))  # outside run
+
 
 class TestResource:
     def test_mutual_exclusion(self):
@@ -379,3 +511,79 @@ class TestSerialLink:
         link = SerialLink(sim, Bandwidth(100.0))
         with pytest.raises(ValueError):
             link.transmit(-1)
+        with pytest.raises(ValueError):
+            link.reserve(-1)
+
+    def test_reserve_books_like_transmit(self):
+        """``reserve`` is ``transmit``'s bookkeeping without the event."""
+        requests = ((1000, 0.0), (333, 2e-8), (0, 0.0), (4096, 0.0))
+        states, times = [], []
+        for use_reserve in (False, True):
+            sim = Simulator()
+            link = SerialLink(sim, Bandwidth(3e9), latency=1e-7)
+            fired = []
+            for n, extra in requests:
+                if use_reserve:
+                    fired.append(link.reserve(n, extra_delay=extra))
+                else:
+                    ev = link.transmit(n, extra_delay=extra)
+                    ev.callbacks.append(lambda e: fired.append(sim.now))
+            if use_reserve:
+                assert sim.last_key == 0  # no event allocated
+            sim.run()
+            states.append(
+                (link.free_at, link.busy_time, link.bytes_sent, link.transfers)
+            )
+            times.append(fired)
+        assert states[0] == states[1]
+        assert times[0] == times[1]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        busy_until=st.sampled_from([0.0, 1e-7, 3.3e-6]),
+        n_bytes=st.sampled_from([0.0, 1.0, 333.0, 4096.0 / 3]),
+        count=st.integers(1, 5),
+        extra=st.sampled_from([0.0, 2e-8, 1e-5]),
+    )
+    def test_reserve_train_books_like_reserve_calls(
+        self, busy_until, n_bytes, count, extra
+    ):
+        """A train is ``count`` reserves, only the first with the extra
+        delay: same delivery times, link state, spans and samples."""
+        from repro.obs import Metrics, Tracer
+
+        results = []
+        for train in (False, True):
+            sim = Simulator(tracer=Tracer(), metrics=Metrics())
+            link = SerialLink(sim, Bandwidth(3e9), latency=1e-7, name="w")
+            sim.call_at(1e-6, lambda _: None, None)
+            sim.run()
+            link.reserve(busy_until * 3e9)
+            if train:
+                got = link.reserve_train(n_bytes, count, extra)
+            else:
+                got = [
+                    link.reserve(n_bytes, extra if k == 0 else 0.0)
+                    for k in range(count)
+                ]
+            state = (link.free_at, link.busy_time, link.bytes_sent, link.transfers)
+            results.append((got, state, sim.tracer.spans, sim.metrics.all_series()))
+        assert results[0] == results[1]
+
+    def test_reserve_at_books_as_if_called_then(self):
+        """``reserve(at=t)`` books exactly what a call at time ``t`` would."""
+        results = []
+        for ahead in (False, True):
+            sim = Simulator()
+            link = SerialLink(sim, Bandwidth(3e9), latency=1e-7)
+            if ahead:
+                got = [link.reserve(n, at=t) for t, n in ((0.3, 999), (0.3, 5))]
+            else:
+                got = []
+                for t, n in ((0.3, 999), (0.3, 5)):
+                    sim.call_at(t, lambda n: got.append(link.reserve(n)), n)
+                sim.run()
+            results.append(
+                (got, link.free_at, link.busy_time, link.bytes_sent, link.transfers)
+            )
+        assert results[0] == results[1]
