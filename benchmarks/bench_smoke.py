@@ -19,7 +19,9 @@ and commit the regenerated ``BENCH_baseline.json``.
 
 from __future__ import annotations
 
+import heapq
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -40,7 +42,10 @@ REPEATS = 5  # best-of-N wall time per op
 
 #: The observability layer must be free when disabled: the null-object
 #: default path of the instrumented simulation is gated at 3% of the
-#: committed baseline, not the loose 2x of the other ops.
+#: committed baseline, not the loose 2x of the other ops.  An absolute
+#: time cannot hold a 3% gate across host states (it has read 1.07x to
+#: 1.9x on one tree), so this op is gated on its time relative to a
+#: calibration workload timed interleaved with it in the same run.
 TRACER_OVERHEAD_FACTOR = 1.03
 TRACER_OVERHEAD_OP = "tracer_disabled_engine_steps"
 
@@ -174,14 +179,63 @@ def op_infabric_reduce_8rank():
     return _timed(run, 1)
 
 
+class _CalEvent:
+    __slots__ = ("callbacks", "value")
+
+    def __init__(self):
+        self.callbacks = []
+        self.value = None
+
+
+def _calibration_des(n_chunks=800):
+    """A frozen miniature of the DES kernel — slotted events with
+    callbacks on a ``(time, seq)`` heap, one generator process that
+    sleeps and then books a transfer per chunk — calling no ``repro``
+    code.  Its time moves with the host's state (core, clock, cache
+    neighbours) as the engine's does, and never with the program's."""
+    heap = []
+    seq = 0
+    now = 0.0
+
+    def timeout(delay):
+        nonlocal seq
+        ev = _CalEvent()
+        seq += 1
+        heapq.heappush(heap, (now + delay, seq, ev))
+        return ev
+
+    def process():
+        for i in range(n_chunks):
+            yield timeout(0.5)
+            timeout(1.0 + i * 0.25)
+
+    gen = process()
+
+    def resume(ev):
+        try:
+            target = gen.send(ev.value)
+        except StopIteration:
+            return
+        target.callbacks.append(resume)
+
+    resume(_CalEvent())
+    while heap:
+        now, _, ev = heapq.heappop(heap)
+        for cb in ev.callbacks:
+            cb(ev)
+
+
 def op_tracer_disabled_steps():
     """The instrumented DES hot path with observability OFF.
 
     Every SerialLink transfer / queue op / engine step now tests
     ``tracer.enabled`` on the shared null objects; this op gates that the
     disabled path stays within :data:`TRACER_OVERHEAD_FACTOR` (3%) of the
-    committed baseline wall time.  Many best-of repeats over a batch of
-    steps keep the measurement tight enough for a 3% gate.
+    committed baseline.  Each of many pairs times a batch of engine
+    steps and :func:`_calibration_des` back to back, in alternating
+    order; the gated figure, ``calibrated``, is the median over pairs of
+    the steps' time over the calibration's, so a slower or busier host
+    moves both sides of each ratio alike.
     """
     from repro.offload import TECOEngine
 
@@ -189,11 +243,30 @@ def op_tracer_disabled_steps():
     engine = TECOEngine(spec, 4)  # tracer/metrics default to the nulls
     n_steps = 5
 
-    def run():
+    def steps():
         for _ in range(n_steps):
             engine.simulate_step()
 
-    return _timed(run, n_steps, repeats=25)
+    times, ratios = [], []
+    for i in range(500):
+        # Alternate which side runs first, so neither always finds the
+        # caches as the other left them.
+        first, second = (steps, _calibration_des)[:: 1 if i % 2 else -1]
+        t0 = time.perf_counter()
+        first()
+        t1 = time.perf_counter()
+        second()
+        t2 = time.perf_counter()
+        step_s, cal_s = (t1 - t0, t2 - t1)[:: 1 if i % 2 else -1]
+        times.append(step_s)
+        ratios.append(step_s / cal_s)
+    best = min(times)
+    return {
+        "seconds": best,
+        "throughput": n_steps / best,
+        "elements": n_steps,
+        "calibrated": statistics.median(ratios),
+    }
 
 
 def op_service_warm_cache_hit():
@@ -284,7 +357,10 @@ def main(argv) -> int:
             if name == TRACER_OVERHEAD_OP
             else REGRESSION_FACTOR
         )
-        ratio = cur["seconds"] / ref["seconds"]
+        if name == TRACER_OVERHEAD_OP:
+            ratio = cur["calibrated"] / ref["calibrated"]
+        else:
+            ratio = cur["seconds"] / ref["seconds"]
         status = "OK" if ratio <= gate else "REGRESSED"
         print(f"{name:32s} {ratio:5.2f}x baseline (gate {gate}x)   {status}")
         if ratio > gate:

@@ -7,7 +7,11 @@ Two layers of machinery:
   models — GPU forward/backward phases, gradient/parameter transfer streams
   over PCIe (baseline) or CXL (TECO), CPU gradient clip + ADAM — yielding
   the per-phase exposed/overlapped breakdown of Figure 12 and the speedups
-  of Figure 11 / Tables IV and VI.
+  of Figure 11 / Tables IV and VI.  Every step engine (ZeRO-Offload, TECO,
+  data-parallel, multi-tenant cluster, activation offload, ZeRO-3) is a
+  generator over one step driver, :mod:`~repro.offload.step`: it runs the
+  steps, streams payloads in fluid chunks, prefetches ahead of compute,
+  and builds the breakdown, checked to add up to the step end.
 
 * **Functional** (:mod:`~repro.offload.arena`, :mod:`~repro.offload.trainer`):
   a real training loop over the NumPy autograd models with the exact

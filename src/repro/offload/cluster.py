@@ -28,8 +28,9 @@ from repro.interconnect.fabric import (
 )
 from repro.models.specs import ModelSpec
 from repro.offload.breakdown import StepBreakdown
-from repro.offload.engines import SystemKind, _trace_phase_marks
-from repro.offload.parallel import ClusterParams, dp_step_process
+from repro.offload.engines import SystemKind
+from repro.offload.parallel import ClusterParams, DataParallelEngine
+from repro.offload.step import Phases, run_steps
 from repro.offload.timing import HardwareParams
 from repro.sim import Simulator
 
@@ -107,14 +108,14 @@ class ClusterStepResult:
         return sum(self.tenant_reduce_out_bytes)
 
 
-class ClusterEngine:
+class ClusterEngine(DataParallelEngine):
     """``M`` concurrent ZeRO-sharded jobs over one shared CXL fabric.
 
     Each tenant is one training job running the
-    :func:`~repro.offload.parallel.dp_step_process` step (its intra-job
-    data parallelism still described by :class:`ClusterParams`), but its
-    representative host link is a :class:`FabricPort` instead of a
-    private :class:`~repro.sim.SerialLink`.  Tenants are assigned to the
+    :meth:`DataParallelEngine.step` (its intra-job data parallelism
+    still described by :class:`ClusterParams`), but its representative
+    host link is a :class:`FabricPort` instead of a private
+    :class:`~repro.sim.SerialLink`.  Tenants are assigned to the
     ``n_hosts`` ports round-robin, so ``n_tenants > n_hosts`` co-locates
     jobs on nodes (port contention) while any ``n_tenants > 1`` contends
     at the switch and pool stages.
@@ -175,31 +176,16 @@ class ClusterEngine:
     ):
         from repro.interconnect.aggregation import WireFormat
 
+        super().__init__(
+            kind, spec, global_batch, cluster, hw, dirty_bytes, tracer, metrics
+        )
         self.reduce_in_fabric = reduce_in_fabric
         self.grad_wire_format = WireFormat.parse(grad_wire_format)
-        self.kind = kind
-        self.spec = spec
-        self.cluster = cluster or ClusterParams()
-        if global_batch < self.cluster.n_gpus:
-            raise ValueError("global_batch must be >= n_gpus")
-        if global_batch % self.cluster.n_gpus:
-            raise ValueError("global_batch must divide evenly across GPUs")
-        self.global_batch = global_batch
-        self.hw = hw or HardwareParams.paper_default()
-        self.dirty_bytes = (
-            dirty_bytes if kind is SystemKind.TECO_REDUCTION else 4
-        )
-        self.tracer = tracer
-        self.metrics = metrics
         if fabric is None:
-            if kind is SystemKind.ZERO_OFFLOAD:
-                port_bw = self.hw.pcie.effective_bandwidth
-            else:
-                port_bw = self.hw.cxl.effective_bandwidth
             fabric = FabricParams(
                 n_ports=n_hosts,
                 n_tenants=n_tenants,
-                port_bandwidth=port_bw,
+                port_bandwidth=self.link_bandwidth,
                 port_latency=0.0,
                 policy=policy,
                 tenant_weights=tenant_weights,
@@ -216,31 +202,18 @@ class ClusterEngine:
         """Concurrent jobs sharing the fabric."""
         return self.fabric_params.n_tenants
 
-    @property
-    def micro_batch(self) -> int:
-        """Per-GPU batch size of each job."""
-        return self.global_batch // self.cluster.n_gpus
-
     def simulate_step(self) -> ClusterStepResult:
         """Simulate one step of every tenant, contending on the fabric."""
-        spec, hw, n = self.spec, self.hw, self.cluster.n_gpus
+        n = self.cluster.n_gpus
         params = self.fabric_params
-        micro = self.micro_batch
-        fwd = hw.forward_time(spec, micro)
-        bwd = hw.backward_time(spec, micro)
-        clip = hw.grad_clip_time(spec)
-        adam = hw.adam_time(spec)
-        shard_bytes = spec.gradient_bytes / n
-        param_shard = spec.param_bytes / n
-        reduce_scatter = self.cluster.ring_time(shard_bytes)
-        all_gather = self.cluster.ring_time(param_shard)
-
+        m = params.n_tenants
+        phases = Phases.of(self.spec, self.micro_batch, self.hw)
         sim = Simulator(tracer=self.tracer, metrics=self.metrics)
         fabric = CXLFabric(sim, params)
-        ports = tuple(t % params.n_ports for t in range(params.n_tenants))
-        links = [fabric.port(ports[t], tenant=t) for t in range(params.n_tenants)]
-        reducers = None
-        grad_reduce_bytes = 0.0
+        ports = tuple(t % params.n_ports for t in range(m))
+        links = [fabric.port(ports[t], tenant=t) for t in range(m)]
+        reducers = [None] * m
+        reduce_bytes = 0.0
         if self.reduce_in_fabric:
             from repro.interconnect.aggregation import wire_bytes_for
 
@@ -248,103 +221,51 @@ class ClusterEngine:
             # fabric ports, starting at the tenant's own port.
             reducers = [
                 fabric.reducer(
-                    ranks=[
-                        (ports[t] + r) % params.n_ports for r in range(n)
-                    ],
+                    ranks=[(ports[t] + r) % params.n_ports for r in range(n)],
                     tenant=t,
                 )
-                for t in range(params.n_tenants)
+                for t in range(m)
             ]
-            grad_reduce_bytes = wire_bytes_for(
-                spec.gradient_bytes, self.grad_wire_format
+            reduce_bytes = wire_bytes_for(
+                self.spec.gradient_bytes, self.grad_wire_format
             )
-        all_marks: list[dict[str, float]] = []
-        for t, link in enumerate(links):
-            marks: dict[str, float] = {}
-            all_marks.append(marks)
-            sim.process(
-                dp_step_process(
-                    sim,
-                    kind=self.kind,
-                    link=link,
-                    marks=marks,
-                    fwd=fwd,
-                    bwd=bwd,
-                    clip=clip,
-                    adam=adam,
-                    shard_bytes=shard_bytes,
-                    param_shard_bytes=param_shard,
-                    reduce_scatter=reduce_scatter,
-                    all_gather=all_gather,
-                    dma_setup_latency=hw.pcie.dma_setup_latency,
-                    dirty_bytes=self.dirty_bytes,
-                    grad_reduce=(
-                        reducers[t].reduce if reducers is not None else None
-                    ),
-                    grad_reduce_bytes=grad_reduce_bytes,
-                ),
-                name=f"tenant{t}-step",
-            )
-        sim.run()
+        all_marks = run_steps(
+            sim,
+            {
+                f"{self.kind.value} x{n} tenant{t}": self.step(
+                    sim, links[t], phases, reducers[t], reduce_bytes
+                )
+                for t in range(m)
+            },
+        )
 
         stats = fabric.stats
-        breakdowns = []
-        for t, (marks, link) in enumerate(zip(all_marks, links)):
-            _trace_phase_marks(
-                sim,
-                marks,
-                system=f"{self.kind.value} x{n} tenant{t}",
-            )
-            # Under reduce_in_fabric the gradient direction is the
-            # tenant's reducer intake (n encoded full gradients), not
-            # host-link shard traffic.
-            grad_wire = reducers[t].bytes_in if reducers is not None else 0.0
-            breakdowns.append(
-                StepBreakdown(
-                    forward=fwd,
-                    backward=marks["bwd_end"] - marks["fwd_end"],
-                    grad_transfer_exposed=(
-                        marks["grads_on_cpu"] - marks["bwd_end"]
-                    ),
-                    grad_clip=clip,
-                    optimizer=marks["adam_end"] - marks["clip_end"],
-                    param_transfer_exposed=(
-                        marks["params_on_gpu"] - marks["adam_end"]
-                    ),
-                    wire_bytes=link.bytes_sent * n + grad_wire,
-                    wire_bytes_per_link=link.bytes_sent + grad_wire / n,
-                )
-            )
-        m = params.n_tenants
+
+        def per_tenant(values: dict) -> tuple:
+            return tuple(values.get(t, 0.0) for t in range(m))
+
         reduce_kwargs = {}
-        if reducers is not None:
+        if self.reduce_in_fabric:
             reduce_kwargs = {
-                "tenant_reduce_in_bytes": tuple(
-                    stats.tenant_reduce_in_bytes.get(t, 0.0)
-                    for t in range(m)
+                "tenant_reduce_in_bytes": per_tenant(
+                    stats.tenant_reduce_in_bytes
                 ),
-                "tenant_reduce_out_bytes": tuple(
-                    stats.tenant_reduce_out_bytes.get(t, 0.0)
-                    for t in range(m)
+                "tenant_reduce_out_bytes": per_tenant(
+                    stats.tenant_reduce_out_bytes
                 ),
-                "tenant_reduce_wait": tuple(
-                    stats.tenant_reduce_wait.get(t, 0.0) for t in range(m)
-                ),
+                "tenant_reduce_wait": per_tenant(stats.tenant_reduce_wait),
             }
         return ClusterStepResult(
-            tenants=tuple(breakdowns),
-            ports=ports,
-            tenant_bytes=tuple(
-                stats.tenant_bytes.get(t, 0.0) for t in range(m)
+            tenants=tuple(
+                self._breakdown(marks, phases, link, reducer)
+                for marks, link, reducer in zip(all_marks, links, reducers)
             ),
+            ports=ports,
+            tenant_bytes=per_tenant(stats.tenant_bytes),
             port_bytes=tuple(
                 stats.port_bytes.get(p, 0.0) for p in range(params.n_ports)
             ),
-            tenant_switch_wait=tuple(
-                stats.tenant_switch_wait.get(t, 0.0) for t in range(m)
-            ),
-            tenant_pool_wait=tuple(
-                stats.tenant_pool_wait.get(t, 0.0) for t in range(m)
-            ),
+            tenant_switch_wait=per_tenant(stats.tenant_switch_wait),
+            tenant_pool_wait=per_tenant(stats.tenant_pool_wait),
             **reduce_kwargs,
         )

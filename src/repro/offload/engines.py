@@ -25,42 +25,31 @@ TECO
     behaviour for the Section IV-A2 ablation: data is fetched on demand
     after the producer finishes, so nothing overlaps.
 
-Streaming is simulated fluidly in sub-chunks (default 64 per phase), which
-converges to the exact producer/link fluid limit while keeping event counts
-small for billion-parameter models.
+Streaming is simulated fluidly in sub-chunks
+(:func:`repro.offload.step.stream`, 64 per phase), which converges to the
+exact producer/link fluid limit while keeping event counts small for
+billion-parameter models.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-from dataclasses import dataclass
 
 from repro.coherence.home_agent import CoherenceMode
 from repro.interconnect.packets import CACHE_LINE_BYTES, packet_wire_bytes
 from repro.models.specs import ModelSpec
 from repro.offload.breakdown import StepBreakdown
+from repro.offload.step import Phases, breakdown, run_steps, stream, wire_volume
 from repro.offload.timing import HardwareParams
 from repro.sim import SerialLink, Simulator
 from repro.utils.units import NS
 
 __all__ = ["SystemKind", "ZeROOffloadEngine", "TECOEngine", "simulate_system"]
 
-#: Sub-chunks per streaming phase (fluid-approximation granularity).
-STREAM_CHUNKS = 64
-
 #: Conservative pipelined DBA-unit delay charged per streamed chunk
 #: (Section VIII-D charges 1 ns; it amortizes through pipelining).
 DBA_PIPELINE_DELAY = 1 * NS
-
-
-def _line_wire_bytes(dirty_bytes: int) -> int:
-    """On-wire bytes of one cache line at the given DBA setting."""
-    return packet_wire_bytes(CACHE_LINE_BYTES * dirty_bytes // 4)
-
-
-def _cxl_wire_volume(tensor_bytes: float, dirty_bytes: int) -> float:
-    n_lines = -(-int(tensor_bytes) // CACHE_LINE_BYTES)
-    return n_lines * _line_wire_bytes(dirty_bytes)
 
 
 class SystemKind(enum.Enum):
@@ -69,58 +58,6 @@ class SystemKind(enum.Enum):
     ZERO_OFFLOAD = "zero-offload"
     TECO_CXL = "teco-cxl"
     TECO_REDUCTION = "teco-reduction"
-
-
-def _trace_phase_marks(sim: Simulator, marks: dict, system: str) -> None:
-    """Emit trainer-phase spans from a finished step's time marks.
-
-    Runs once after ``sim.run()`` (zero in-loop overhead): GPU phases on
-    the ``gpu`` track, CPU phases on ``cpu``, exposed transfer windows on
-    ``transfer`` — all category ``trainer``, on the sim timeline.  The
-    per-transfer wire spans come live from the instrumented
-    :class:`~repro.sim.SerialLink`.
-    """
-    tracer = sim.tracer
-    if not tracer.enabled:
-        return
-    phases = (
-        ("forward", "gpu", None, "fwd_end"),
-        ("backward", "gpu", "fwd_end", "bwd_end"),
-        ("grad-transfer-exposed", "transfer", "bwd_end", "grads_on_cpu"),
-        ("clip", "cpu", "grads_on_cpu", "clip_end"),
-        ("adam", "cpu", "clip_end", "adam_end"),
-        ("param-transfer-exposed", "transfer", "adam_end", "params_on_gpu"),
-    )
-    for name, track, a, b in phases:
-        begin = 0.0 if a is None else marks.get(a)
-        end = marks.get(b)
-        if begin is None or end is None:
-            continue
-        tracer.add_span(begin, end, name, "trainer", track=track, system=system)
-    end = marks.get("params_on_gpu")
-    if end is not None:
-        tracer.add_span(
-            0.0, end, "step", "trainer", track="step", system=system
-        )
-
-
-@dataclass(frozen=True)
-class _Phases:
-    """Pre-computed phase durations shared by both engines."""
-
-    forward: float
-    backward: float
-    clip: float
-    adam: float
-
-    @classmethod
-    def of(cls, spec: ModelSpec, batch: int, hw: HardwareParams) -> "_Phases":
-        return cls(
-            forward=hw.forward_time(spec, batch),
-            backward=hw.backward_time(spec, batch),
-            clip=hw.grad_clip_time(spec),
-            adam=hw.adam_time(spec),
-        )
 
 
 class ZeROOffloadEngine:
@@ -149,10 +86,10 @@ class ZeROOffloadEngine:
         spec, hw = self.spec, self.hw
         sim = Simulator(tracer=self.tracer, metrics=self.metrics)
         link = SerialLink(sim, hw.pcie.effective_bandwidth, name="pcie")
-        phases = _Phases.of(spec, self.batch, hw)
-        marks: dict[str, float] = {}
+        phases = Phases.of(spec, self.batch, hw)
 
-        def step(sim: Simulator):
+        def step():
+            marks: dict[str, float] = {}
             # Phase 1-2: forward + backward on GPU.
             yield sim.timeout(phases.forward)
             marks["fwd_end"] = sim.now
@@ -201,33 +138,16 @@ class ZeROOffloadEngine:
                     this, extra_delay=hw.pcie.dma_setup_latency
                 )
             marks["params_on_gpu"] = sim.now
+            return marks
 
-        sim.process(step(sim))
-        sim.run()
-        _trace_phase_marks(sim, marks, system="zero-offload")
-
+        (marks,) = run_steps(sim, {"zero-offload": step()})
         # The synchronous flush stalls are gradient-transfer time exposed
         # to the critical path even though they occur inside backward.
-        grad_exposed = marks["grad_stall"]
-        param_exposed = marks["params_on_gpu"] - marks["adam_end"]
-        if self.dpu:
-            # One-step delayed parameter update: the CPU-side tail
-            # (clip + ADAM + exposed transfers) overlaps the *next* step's
-            # GPU window.  Hide communication first, then optimizer —
-            # effective only when the GPU window is large (big batch).
-            hide = phases.forward + phases.backward
-            hidden_param = min(param_exposed, hide)
-            hide -= hidden_param
-            hidden_grad = min(grad_exposed, hide)
-            param_exposed -= hidden_param
-            grad_exposed -= hidden_grad
-        return StepBreakdown(
-            forward=phases.forward,
+        result = breakdown(
+            marks,
+            phases,
             backward=marks["bwd_end"] - marks["fwd_end"] - marks["grad_stall"],
-            grad_transfer_exposed=grad_exposed,
-            grad_clip=phases.clip,
-            optimizer=marks["adam_end"] - marks["clip_end"],
-            param_transfer_exposed=param_exposed,
+            grad_transfer_exposed=marks["grad_stall"],
             wire_bytes=link.bytes_sent,
             wire_bytes_per_link=link.bytes_sent,
             grad_transfer_raw=hw.pcie.effective_bandwidth.time_for(
@@ -236,6 +156,21 @@ class ZeROOffloadEngine:
             param_transfer_raw=hw.pcie.effective_bandwidth.time_for(
                 spec.param_bytes
             ),
+        )
+        if not self.dpu:
+            return result
+        # One-step delayed parameter update: the CPU-side tail (clip +
+        # ADAM + exposed transfers) overlaps the *next* step's GPU window.
+        # Hide communication first, then optimizer — effective only when
+        # the GPU window is large (big batch).
+        hide = phases.forward + phases.backward
+        hidden_param = min(result.param_transfer_exposed, hide)
+        hide -= hidden_param
+        hidden_grad = min(result.grad_transfer_exposed, hide)
+        return dataclasses.replace(
+            result,
+            param_transfer_exposed=result.param_transfer_exposed - hidden_param,
+            grad_transfer_exposed=result.grad_transfer_exposed - hidden_grad,
         )
 
 
@@ -274,78 +209,61 @@ class TECOEngine:
         # parameters never stream simultaneously within a step, so one
         # serialized wire models the shared bandwidth faithfully.
         wire = SerialLink(sim, hw.cxl.effective_bandwidth, name="cxl")
-        phases = _Phases.of(spec, self.batch, hw)
-        marks: dict[str, float] = {}
+        phases = Phases.of(spec, self.batch, hw)
         update_mode = self.coherence is CoherenceMode.UPDATE
 
-        grad_wire = _cxl_wire_volume(spec.gradient_bytes, 4)  # no DBA on grads
-        param_wire = _cxl_wire_volume(spec.param_bytes, self.dirty_bytes)
+        grad_wire = wire_volume(spec.gradient_bytes, 4)  # no DBA on grads
+        param_wire = wire_volume(spec.param_bytes, self.dirty_bytes)
 
-        def step(sim: Simulator):
+        def produce(duration, payload, tensor_bytes, extra_delay):
+            """Compute for ``duration`` while (update mode) or before
+            (invalidation mode) ``payload`` wire bytes cross; returns the
+            event the producer's ``CXLFENCE`` waits for."""
+            if update_mode:
+                # Lines stream as the producer writes them (MESI-update).
+                events = yield from stream(
+                    sim, duration, payload, wire.transmit,
+                    extra_delay=extra_delay,
+                )
+                return sim.all_of(events)
+            # Invalidation mode: lines were invalidated while produced; the
+            # consumer fetches them all on demand afterwards, plus the
+            # invalidation-message overhead on the wire.
+            yield sim.timeout(duration)
+            inv_overhead = (
+                tensor_bytes / CACHE_LINE_BYTES
+            ) * packet_wire_bytes(0)
+            return wire.transmit(payload + inv_overhead)
+
+        def step():
+            marks: dict[str, float] = {}
             yield sim.timeout(phases.forward)
             marks["fwd_end"] = sim.now
-            transfers = []
-            if update_mode:
-                # Gradient lines stream continuously during backward:
-                # fluid approximation in STREAM_CHUNKS pieces.
-                per = phases.backward / STREAM_CHUNKS
-                per_bytes = grad_wire / STREAM_CHUNKS
-                for _ in range(STREAM_CHUNKS):
-                    yield sim.timeout(per)
-                    transfers.append(wire.transmit(per_bytes))
-                marks["bwd_end"] = sim.now
-                yield sim.all_of(transfers)  # CXLFENCE after backward
-            else:
-                # Invalidation mode: lines were invalidated during backward;
-                # CPU fetches all gradients on demand afterwards, plus the
-                # invalidation-message overhead on the wire.
-                yield sim.timeout(phases.backward)
-                marks["bwd_end"] = sim.now
-                inv_overhead = (
-                    spec.gradient_bytes / CACHE_LINE_BYTES
-                ) * packet_wire_bytes(0)
-                yield wire.transmit(grad_wire + inv_overhead)
+            fence = yield from produce(
+                phases.backward, grad_wire, spec.gradient_bytes, 0.0
+            )
+            marks["bwd_end"] = sim.now
+            yield fence
             marks["grads_on_cpu"] = sim.now
             yield sim.timeout(phases.clip)
             marks["clip_end"] = sim.now
-            if update_mode:
-                # Parameter lines stream as the blocked ADAM writes them
-                # back (MESI-update); the Aggregator adds a pipelined delay.
-                per = phases.adam / STREAM_CHUNKS
-                per_bytes = param_wire / STREAM_CHUNKS
-                extra = DBA_PIPELINE_DELAY if self.dba else 0.0
-                param_transfers = []
-                for _ in range(STREAM_CHUNKS):
-                    yield sim.timeout(per)
-                    param_transfers.append(
-                        wire.transmit(per_bytes, extra_delay=extra)
-                    )
-                marks["adam_end"] = sim.now
-                yield sim.all_of(param_transfers)  # CXLFENCE in step()
-            else:
-                yield sim.timeout(phases.adam)
-                marks["adam_end"] = sim.now
-                inv_overhead = (
-                    spec.param_bytes / CACHE_LINE_BYTES
-                ) * packet_wire_bytes(0)
-                yield wire.transmit(param_wire + inv_overhead)
+            # The Aggregator adds a pipelined delay to every streamed chunk.
+            fence = yield from produce(
+                phases.adam,
+                param_wire,
+                spec.param_bytes,
+                DBA_PIPELINE_DELAY if self.dba else 0.0,
+            )
+            marks["adam_end"] = sim.now
+            yield fence
             marks["params_on_gpu"] = sim.now
+            return marks
 
-        sim.process(step(sim))
-        sim.run()
-        _trace_phase_marks(
-            sim,
+        system = "teco-reduction" if self.dba else "teco-cxl"
+        (marks,) = run_steps(sim, {system: step()})
+        return breakdown(
             marks,
-            system="teco-reduction" if self.dba else "teco-cxl",
-        )
-
-        return StepBreakdown(
-            forward=phases.forward,
-            backward=marks["bwd_end"] - marks["fwd_end"],
-            grad_transfer_exposed=marks["grads_on_cpu"] - marks["bwd_end"],
-            grad_clip=phases.clip,
-            optimizer=marks["adam_end"] - marks["clip_end"],
-            param_transfer_exposed=marks["params_on_gpu"] - marks["adam_end"],
+            phases,
             wire_bytes=wire.bytes_sent,
             wire_bytes_per_link=wire.bytes_sent,
             grad_transfer_raw=hw.cxl.effective_bandwidth.time_for(grad_wire),

@@ -40,13 +40,16 @@ from dataclasses import dataclass, field
 
 from repro.models.specs import ModelSpec
 from repro.offload.breakdown import StepBreakdown
-from repro.offload.engines import (
-    STREAM_CHUNKS,
-    _cxl_wire_volume,
-    _trace_phase_marks,
-    _Phases,
-)
 from repro.offload.memory import MemoryModel
+from repro.offload.step import (
+    STREAM_CHUNKS,
+    Phases,
+    breakdown,
+    prefetched,
+    run_steps,
+    stream,
+    wire_volume,
+)
 from repro.offload.timing import HardwareParams
 from repro.sim import SerialLink, Simulator
 
@@ -219,22 +222,19 @@ class ActivationOffloadEngine:
         # Full-duplex CXL: one wire per direction.
         up = SerialLink(sim, hw.cxl.effective_bandwidth, name="cxl-up")
         down = SerialLink(sim, hw.cxl.effective_bandwidth, name="cxl-down")
-        phases = _Phases.of(spec, self.batch, hw)
-        marks: dict[str, float] = {}
+        phases = Phases.of(spec, self.batch, hw)
 
         n_layers = spec.n_layers
         per_fwd = phases.forward / n_layers
         per_bwd = phases.backward / n_layers
         act_total = self.memory.activation_bytes(spec, self.batch)
         per_layer_act = act_total / n_layers
-        grad_wire = _cxl_wire_volume(spec.gradient_bytes, 4)
-        param_wire = _cxl_wire_volume(spec.param_bytes, self.dirty_bytes)
+        grad_wire = wire_volume(spec.gradient_bytes, 4)
+        param_wire = wire_volume(spec.param_bytes, self.dirty_bytes)
 
         n_groups = policy.n_groups
         group_wire = [
-            _cxl_wire_volume(
-                per_layer_act * len(policy.offloaded_layers(g)), 4
-            )
+            wire_volume(per_layer_act * len(policy.offloaded_layers(g)), 4)
             if policy.offloaded_layers(g)
             else 0.0
             for g in range(n_groups)
@@ -242,7 +242,8 @@ class ActivationOffloadEngine:
         freed_bytes = per_layer_act * policy.total_offloaded_layers
         group_stalls: list[float] = []
 
-        def step(sim: Simulator):
+        def step():
+            marks: dict[str, float] = {}
             # ---- forward: compute group-by-group, evict as groups end.
             evictions = []
             for g in range(n_groups):
@@ -253,93 +254,61 @@ class ActivationOffloadEngine:
             yield sim.all_of(evictions)  # CXLFENCE: evictions must land
             marks["evict_done"] = sim.now
 
-            # ---- backward: reverse groups, prefetch window ahead.
-            rev = list(range(n_groups - 1, -1, -1))
-            fetches: dict[int, object] = {}
-            issued = 0
-
-            def issue_through(k: int) -> None:
-                nonlocal issued
-                while issued <= min(k, n_groups - 1):
-                    g = rev[issued]
-                    if group_wire[g]:
-                        fetches[g] = down.transmit(group_wire[g])
-                    issued += 1
-
-            grad_transfers = []
+            # ---- backward: reverse groups, prefetch window ahead.  Gradient
+            # lines stream during each group's compute (TECO update
+            # protocol), interleaved layer-by-layer.
+            grads = []
             per_grad = grad_wire / STREAM_CHUNKS
-            chunks_done = 0
             layers_done = 0
-            for k, g in enumerate(rev):
-                issue_through(k + policy.prefetch_groups)
-                stall = 0.0
-                if g in fetches:
-                    t0 = sim.now
-                    yield fetches[g]
-                    stall = sim.now - t0
-                    if stall > 0.0 and sim.tracer.enabled:
-                        sim.tracer.add_span(
-                            t0,
-                            sim.now,
-                            "act-fetch-stall",
-                            "offload",
-                            track="transfer",
-                            group=g,
-                            bytes=group_wire[g],
-                        )
-                group_stalls.append(stall)
-                # Gradient lines stream during this group's compute
-                # (TECO update protocol), interleaved layer-by-layer.
+
+            def backward(g):
+                nonlocal layers_done
                 for _ in policy.group_layers(g):
                     yield sim.timeout(per_bwd)
                     layers_done += 1
                     target = (layers_done * STREAM_CHUNKS) // n_layers
-                    while chunks_done < target:
-                        grad_transfers.append(up.transmit(per_grad))
-                        chunks_done += 1
-            while chunks_done < STREAM_CHUNKS:
-                grad_transfers.append(up.transmit(per_grad))
-                chunks_done += 1
+                    while len(grads) < target:
+                        grads.append(up.transmit(per_grad))
+
+            stalls = yield from prefetched(
+                sim,
+                range(n_groups - 1, -1, -1),
+                lambda g: down.transmit(group_wire[g]) if group_wire[g] else None,
+                policy.prefetch_groups,
+                backward,
+                "act-fetch-stall",
+                lambda g: {"group": g, "bytes": group_wire[g]},
+            )
+            group_stalls.extend(stalls)
             marks["bwd_end"] = sim.now
-            yield sim.all_of(grad_transfers)  # CXLFENCE after backward
+            yield sim.all_of(grads)  # CXLFENCE after backward
             marks["grads_on_cpu"] = sim.now
 
             # ---- optimizer: clip, then ADAM with param streaming.
             yield sim.timeout(phases.clip)
             marks["clip_end"] = sim.now
-            per = phases.adam / STREAM_CHUNKS
-            per_param = param_wire / STREAM_CHUNKS
-            param_transfers = []
-            for _ in range(STREAM_CHUNKS):
-                yield sim.timeout(per)
-                param_transfers.append(down.transmit(per_param))
+            params = yield from stream(
+                sim, phases.adam, param_wire, down.transmit
+            )
             marks["adam_end"] = sim.now
-            yield sim.all_of(param_transfers)
+            yield sim.all_of(params)
             marks["params_on_gpu"] = sim.now
+            return marks
 
-        sim.process(step(sim))
-        sim.run()
-        _trace_phase_marks(sim, marks, system="activation-offload")
-
-        evict_exposed = marks["evict_done"] - marks["fwd_end"]
+        (marks,) = run_steps(sim, {"activation-offload": step()})
         fetch_exposed = sum(group_stalls)
-        backward_span = marks["bwd_end"] - marks["evict_done"]
-        breakdown = StepBreakdown(
-            forward=phases.forward,
-            backward=backward_span - fetch_exposed,
-            grad_transfer_exposed=marks["grads_on_cpu"] - marks["bwd_end"],
-            grad_clip=phases.clip,
-            optimizer=marks["adam_end"] - marks["clip_end"],
-            param_transfer_exposed=marks["params_on_gpu"] - marks["adam_end"],
-            wire_bytes=up.bytes_sent + down.bytes_sent,
-            wire_bytes_per_link=up.bytes_sent + down.bytes_sent,
-            act_evict_exposed=evict_exposed,
-            act_fetch_exposed=fetch_exposed,
-            grad_transfer_raw=hw.cxl.effective_bandwidth.time_for(grad_wire),
-            param_transfer_raw=hw.cxl.effective_bandwidth.time_for(param_wire),
-        )
         return ActivationStepResult(
-            breakdown=breakdown,
+            breakdown=breakdown(
+                marks,
+                phases,
+                backward=marks["bwd_end"] - marks["evict_done"] - fetch_exposed,
+                wire_bytes=up.bytes_sent + down.bytes_sent,
+                wire_bytes_per_link=up.bytes_sent + down.bytes_sent,
+                act_evict_exposed=marks["evict_done"] - marks["fwd_end"],
+                act_fetch_exposed=fetch_exposed,
+                grad_transfer_raw=hw.cxl.effective_bandwidth.time_for(grad_wire),
+                param_transfer_raw=hw.cxl.effective_bandwidth.time_for(param_wire),
+            ),
             act_bytes=act_total,
             act_wire_bytes=sum(group_wire),
             offloaded_layers=policy.total_offloaded_layers,

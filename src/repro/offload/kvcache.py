@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.models.specs import ModelSpec
-from repro.offload.engines import _cxl_wire_volume
+from repro.offload.step import wire_volume
 from repro.offload.timing import HardwareParams
 from repro.sim import SerialLink, Simulator
 from repro.utils.units import GB
@@ -174,7 +174,7 @@ class KVCacheEngine:
                 compute = self.decode_step_flops(context) / throughput
                 fetch_ev = None
                 if cold > 0:
-                    wire = _cxl_wire_volume(cold * per_token, 4)
+                    wire = wire_volume(cold * per_token, 4)
                     totals["fetched"] += wire
                     fetch_ev = down.transmit(wire)
                 t0 = sim.now
@@ -201,7 +201,7 @@ class KVCacheEngine:
                 if resident < self.hbm_tokens:
                     resident += 1
                 else:
-                    wire = _cxl_wire_volume(per_token, 4)
+                    wire = wire_volume(per_token, 4)
                     totals["evicted"] += wire
                     evictions.append(up.transmit(wire))
             t0 = sim.now

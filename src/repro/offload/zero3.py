@@ -44,7 +44,13 @@ from repro.interconnect.aggregation import WireFormat, wire_bytes_for
 from repro.interconnect.fabric import CXLFabric, FabricParams
 from repro.models.specs import ModelSpec
 from repro.offload.breakdown import StepBreakdown
-from repro.offload.engines import STREAM_CHUNKS, _trace_phase_marks
+from repro.offload.step import (
+    Phases,
+    breakdown,
+    prefetched,
+    run_steps,
+    stream,
+)
 from repro.offload.timing import HardwareParams
 from repro.sim import Simulator
 from repro.utils.units import GB
@@ -133,17 +139,17 @@ class Zero3Engine:
         spec, hw, R = self.spec, self.hw, self.ranks
         fmt = self.wire_format
         micro = self.micro_batch
-        fwd = hw.forward_time(spec, micro)
-        bwd = hw.backward_time(spec, micro)
         # Sharded optimizer: each rank's host CPU sweeps 1/R of the
         # states (clip needs a tiny cross-rank norm reduce, negligible
         # next to the arena passes).
-        clip = hw.grad_clip_time(spec) / R
-        adam = hw.adam_time(spec) / R
+        phases = Phases(
+            forward=hw.forward_time(spec, micro),
+            backward=hw.backward_time(spec, micro),
+            clip=hw.grad_clip_time(spec) / R,
+            adam=hw.adam_time(spec) / R,
+        )
 
         n_layers = spec.n_layers
-        per_fwd = fwd / n_layers
-        per_bwd = bwd / n_layers
         layer_param = spec.param_bytes / n_layers
         gather_shard = wire_bytes_for(layer_param / R, fmt)
         grad_layer = wire_bytes_for(spec.gradient_bytes / n_layers, fmt)
@@ -164,92 +170,75 @@ class Zero3Engine:
         gather = fabric.gather_unit(ranks=range(R))
         reducer = fabric.reducer(ranks=range(R))
         ports = [fabric.port(i) for i in range(R)]
-        marks: dict[str, float] = {}
-        stalls = {"fwd": 0.0, "bwd": 0.0}
+        grads = []
 
-        def sharded_pass(sim: Simulator, order: list[int], phase: str, per: float):
-            """Gather-ahead-of-compute over ``order``'s layers."""
-            events: dict[int, object] = {}
-            issued = 0
+        def sharded_pass(order, phase: str, per: float):
+            """Gather-ahead-of-compute over ``order``'s layers; returns
+            the pass's gather stall seconds."""
 
-            def issue_through(k: int) -> None:
-                nonlocal issued
-                while issued <= min(k, n_layers - 1):
-                    if R > 1:
-                        events[order[issued]] = gather.gather(gather_shard)
-                    issued += 1
-
-            for k, layer in enumerate(order):
-                issue_through(k + self.prefetch_layers)
-                if layer in events:
-                    t0 = sim.now
-                    yield events[layer]
-                    stall = sim.now - t0
-                    if stall > 0.0:
-                        stalls[phase] += stall
-                        if sim.tracer.enabled:
-                            sim.tracer.add_span(
-                                t0,
-                                sim.now,
-                                "gather-stall",
-                                "offload",
-                                track="transfer",
-                                layer=layer,
-                                phase=phase,
-                            )
+            def compute(layer):
                 yield sim.timeout(per)
                 if phase == "bwd":
                     # The layer's gradients enter the in-fabric reducer
                     # as soon as its backward finishes.
-                    grad_events.append(reducer.reduce(grad_layer))
+                    grads.append(reducer.reduce(grad_layer))
 
-        grad_events: list = []
+            stalls = yield from prefetched(
+                sim,
+                order,
+                lambda layer: gather.gather(gather_shard) if R > 1 else None,
+                self.prefetch_layers,
+                compute,
+                "gather-stall",
+                lambda layer: {"layer": layer, "phase": phase},
+            )
+            # A running sum in stall order, not sum(): from Python 3.12
+            # sum() of floats is compensated and could change the bits.
+            total = 0.0
+            for stall in stalls:
+                total += stall
+            return total
 
-        def step(sim: Simulator):
-            yield from sharded_pass(
-                sim, list(range(n_layers)), "fwd", per_fwd
+        def step():
+            marks: dict[str, float] = {}
+            marks["fwd_stall"] = yield from sharded_pass(
+                range(n_layers), "fwd", phases.forward / n_layers
             )
             marks["fwd_end"] = sim.now
-            yield from sharded_pass(
-                sim, list(range(n_layers - 1, -1, -1)), "bwd", per_bwd
+            marks["bwd_stall"] = yield from sharded_pass(
+                range(n_layers - 1, -1, -1), "bwd", phases.backward / n_layers
             )
             marks["bwd_end"] = sim.now
-            yield sim.all_of(grad_events)  # CXLFENCE after backward
+            yield sim.all_of(grads)  # CXLFENCE after backward
             marks["grads_on_cpu"] = sim.now
-            yield sim.timeout(clip)
+            yield sim.timeout(phases.clip)
             marks["clip_end"] = sim.now
             # Each rank streams its updated encoded shard back through
             # its own port while the (1/R-sized) ADAM sweep runs.
-            per = adam / STREAM_CHUNKS
-            per_bytes = writeback_shard / STREAM_CHUNKS
-            transfers = []
-            for _ in range(STREAM_CHUNKS):
-                yield sim.timeout(per)
-                for port in ports:
-                    transfers.append(port.transmit(per_bytes))
+            params = yield from stream(
+                sim,
+                phases.adam,
+                writeback_shard,
+                *(port.transmit for port in ports),
+            )
             marks["adam_end"] = sim.now
-            yield sim.all_of(transfers)
+            yield sim.all_of(params)
             marks["params_on_gpu"] = sim.now
+            return marks
 
-        sim.process(step(sim))
-        sim.run()
-        _trace_phase_marks(sim, marks, system=f"zero3 x{R} {fmt.value}")
-
+        (marks,) = run_steps(sim, {f"zero3 x{R} {fmt.value}": step()})
         stats = fabric.stats
-        writeback_total = sum(p.bytes_sent for p in ports)
-        breakdown = StepBreakdown(
-            forward=fwd,
-            backward=marks["bwd_end"] - marks["fwd_end"] - stalls["bwd"],
-            grad_transfer_exposed=marks["grads_on_cpu"] - marks["bwd_end"],
-            grad_clip=clip,
-            optimizer=marks["adam_end"] - marks["clip_end"],
-            param_transfer_exposed=marks["params_on_gpu"] - marks["adam_end"],
-            param_gather_exposed=stalls["fwd"] + stalls["bwd"],
-            wire_bytes=stats.total_bytes,
-            wire_bytes_per_link=stats.total_bytes / R,
-        )
         return Zero3StepResult(
-            breakdown=breakdown,
+            breakdown=breakdown(
+                marks,
+                phases,
+                backward=(
+                    marks["bwd_end"] - marks["fwd_end"] - marks["bwd_stall"]
+                ),
+                param_gather_exposed=marks["fwd_stall"] + marks["bwd_stall"],
+                wire_bytes=stats.total_bytes,
+                wire_bytes_per_link=stats.total_bytes / R,
+            ),
             ranks=R,
             wire_format=fmt.value,
             gather_in_bytes=gather.bytes_in,
@@ -257,5 +246,5 @@ class Zero3Engine:
             gather_wait=stats.gather_wait,
             reduce_in_bytes=reducer.bytes_in,
             reduce_out_bytes=reducer.bytes_out,
-            writeback_bytes=writeback_total,
+            writeback_bytes=sum(p.bytes_sent for p in ports),
         )

@@ -8,28 +8,24 @@ serialized links and bounded queues.
 Public objects
 --------------
 Simulator
-    Event loop with a monotonic virtual clock.
+    Event loop with a monotonic virtual clock; ``all_of`` joins events.
 SimEvent
     One-shot waitable event.
 Process
     Generator-driven process; itself waitable.
-Resource
-    Counting semaphore with FIFO fairness.
 Store
     Bounded FIFO item channel (producer/consumer).
 SerialLink
     Serialized transmission resource with bandwidth + per-transfer latency.
 """
 
-from repro.sim.engine import Interrupt, Process, SimEvent, Simulator
-from repro.sim.resources import Resource, SerialLink, Store
+from repro.sim.engine import Process, SimEvent, Simulator
+from repro.sim.resources import SerialLink, Store
 
 __all__ = [
     "Simulator",
     "SimEvent",
     "Process",
-    "Interrupt",
-    "Resource",
     "Store",
     "SerialLink",
 ]

@@ -28,15 +28,7 @@ import math
 from collections.abc import Callable, Generator
 from typing import Any
 
-__all__ = ["Simulator", "SimEvent", "Process", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process that is interrupted while waiting."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
+__all__ = ["Simulator", "SimEvent", "Process"]
 
 
 class SimEvent:
@@ -108,67 +100,33 @@ class Process(SimEvent):
     """Drives a generator; the process is itself an event that fires when
     the generator returns (value = its ``return`` value) or raises."""
 
-    __slots__ = ("_gen", "_waiting_on", "name")
+    __slots__ = ("_gen", "name")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
         self._gen = gen
-        self._waiting_on: SimEvent | None = None
         self.name = name or getattr(gen, "__name__", "process")
         # Kick off at the current time.
         start = SimEvent(sim)
         start.callbacks.append(self._resume)
         start.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        """Whether the process generator is still running."""
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            return
-        target = self._waiting_on
-        if target is not None and self in [  # detach from waited event
-            getattr(cb, "__self__", None) for cb in target.callbacks
-        ]:
-            target.callbacks = [
-                cb for cb in target.callbacks if getattr(cb, "__self__", None) is not self
-            ]
-        wake = SimEvent(self.sim)
-        wake.callbacks.append(lambda ev: self._step(Interrupt(cause), throw=True))
-        wake.succeed()
-
     def _resume(self, event: SimEvent) -> None:
-        self._waiting_on = None
-        if event._ok:
-            self._step(event._value, throw=False)
-        else:
-            self._step(event._value, throw=True)
-
-    def _step(self, value: Any, *, throw: bool) -> None:
-        if self.triggered:
-            return
         try:
-            if throw:
-                exc = value if isinstance(value, BaseException) else Interrupt(value)
-                target = self._gen.throw(exc)
+            if event._ok:
+                target = self._gen.send(event._value)
             else:
-                target = self._gen.send(value)
+                target = self._gen.throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
         except Exception as exc:  # noqa: BLE001 - propagate into waiters
-            self._ok = False
-            if not self.triggered:
-                self.fail(exc)
+            self.fail(exc)
             return
         if not isinstance(target, SimEvent):
             raise TypeError(
                 f"process {self.name!r} yielded {target!r}; expected SimEvent"
             )
-        self._waiting_on = target
         if target.processed:
             # Already fired: resume immediately (same timestamp).
             wake = SimEvent(self.sim)
@@ -339,27 +297,6 @@ class Simulator:
                 ev.callbacks.append(on_fire(i))
         return done
 
-    def any_of(self, events: list[SimEvent]) -> SimEvent:
-        """An event firing as soon as any one of ``events`` fires."""
-        done = SimEvent(self)
-
-        def cb(ev: SimEvent) -> None:
-            if done.triggered:
-                return
-            if ev._ok:
-                done.succeed(ev._value)
-            else:
-                done.fail(ev._value)
-
-        for ev in events:
-            if ev.processed:
-                cb(ev)
-            else:
-                ev.callbacks.append(cb)
-        if not events:
-            done.succeed(None)
-        return done
-
     # -- execution -------------------------------------------------------
     def _fire_next(self) -> None:
         time, seq, fn, arg = heapq.heappop(self._heap)
@@ -408,7 +345,3 @@ class Simulator:
             flush(limit, math.inf)
         if until is not None:
             self.now = until
-
-    def peek(self) -> float:
-        """Timestamp of the next scheduled event (``inf`` if none)."""
-        return self._heap[0][0] if self._heap else float("inf")

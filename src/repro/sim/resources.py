@@ -1,4 +1,4 @@
-"""Simulation resources: semaphores, bounded FIFO stores, serial links.
+"""Simulation resources: bounded FIFO stores and serial links.
 
 ``SerialLink`` is the workhorse: CXL/PCIe are serial buses, so cache lines
 "go through the link one after another in a stream manner" (Section VIII-A).
@@ -15,54 +15,7 @@ from typing import Any
 from repro.sim.engine import SimEvent, Simulator
 from repro.utils.units import Bandwidth
 
-__all__ = ["Resource", "Store", "SerialLink"]
-
-
-class Resource:
-    """Counting semaphore with FIFO fairness.
-
-    ``request()`` returns an event that fires when a slot is granted;
-    ``release()`` hands the slot to the next waiter.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource"):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.in_use = 0
-        self._waiters: deque[SimEvent] = deque()
-
-    def _sample(self) -> None:
-        mx = self.sim.metrics
-        if mx.enabled:
-            mx.sample(f"{self.name}.in_use", self.sim.now, self.in_use)
-
-    def request(self) -> SimEvent:
-        """Request a slot; the event fires when granted."""
-        ev = self.sim.event()
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed(self)
-            self._sample()
-        else:
-            self._waiters.append(ev)
-            if self.sim.tracer.enabled:
-                self.sim.tracer.instant(
-                    self.sim.now, "request-blocked", "resource", track=self.name
-                )
-        return ev
-
-    def release(self) -> None:
-        """Free a slot, waking the next waiter if any."""
-        if self.in_use <= 0:
-            raise RuntimeError("release without matching request")
-        if self._waiters:
-            self._waiters.popleft().succeed(self)
-        else:
-            self.in_use -= 1
-            self._sample()
+__all__ = ["Store", "SerialLink"]
 
 
 class Store:
@@ -171,23 +124,11 @@ class SerialLink:
 
         ``extra_delay`` models per-transfer processing (e.g. the 1 ns
         Aggregator latency) added before the payload reaches the wire.
-        The bookkeeping is :meth:`reserve`'s, inlined: this is the hot
-        path of every engine.
         """
-        if n_bytes < 0:
-            raise ValueError("n_bytes must be non-negative")
-        sim = self.sim
-        now = sim.now
-        start = max(now + extra_delay, self._wire_free_at)
-        duration = self.bandwidth.time_for(n_bytes)
-        self._wire_free_at = end = start + duration
-        self.busy_time += duration
-        self.bytes_sent += n_bytes
-        self.transfers += 1
-        if sim.tracer.enabled or sim.metrics.enabled:
-            self._observe(now, start, end, self.busy_time, n_bytes)
-        ev = SimEvent(sim)
-        ev.succeed(n_bytes, delay=end + self.latency - now)
+        ev = SimEvent(self.sim)
+        ev.succeed(
+            n_bytes, delay=self.reserve(n_bytes, extra_delay) - self.sim.now
+        )
         return ev
 
     def reserve(
@@ -195,11 +136,11 @@ class SerialLink:
     ) -> float:
         """Book the wire for a transfer; return its delivery time.
 
-        Does all of :meth:`transmit`'s accounting (wire occupancy,
-        ``busy_time``, ``bytes_sent``, ``transfers``, the ``xfer`` span
-        and the metrics) but allocates no event: for callers that hand
-        the delivery time to :meth:`Simulator.call_at` or fold it into
-        their own schedule.  ``at`` books as if called at that sim time
+        All of a transfer's accounting (wire occupancy, ``busy_time``,
+        ``bytes_sent``, ``transfers``, the ``xfer`` span and the metrics),
+        with no event: :meth:`transmit` wraps it in one, and callers that
+        hand the delivery time to :meth:`Simulator.call_at` or fold it
+        into their own schedule use it directly.  ``at`` books as if called at that sim time
         instead of now — for a component that computes, in order, the
         bookings its own stage-exit events would have made.
         """

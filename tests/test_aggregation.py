@@ -19,7 +19,7 @@ from repro.models import get_model
 from repro.obs import Metrics, Tracer
 from repro.offload.cluster import ClusterEngine
 from repro.offload.engines import SystemKind
-from repro.offload.parallel import ClusterParams, DataParallelEngine
+from repro.offload.parallel import ClusterParams
 from repro.sim import Simulator
 
 ALL_FORMATS = ("fp32", "fp16", "bf16", "fp8-e4m3", "int8-dba")
@@ -283,15 +283,16 @@ class TestReduceInFabricEngines:
         """Acceptance: FP32 > FP16/BF16 > FP8/INT8-DBA wire bytes."""
         wire = {}
         for fmt in ALL_FORMATS:
-            eng = DataParallelEngine(
+            eng = ClusterEngine(
                 SystemKind.TECO_REDUCTION,
                 bert,
                 8,
                 ClusterParams(n_gpus=4),
+                n_hosts=4,
                 reduce_in_fabric=True,
                 grad_wire_format=fmt,
             )
-            wire[fmt] = eng.simulate_step().wire_bytes
+            wire[fmt] = eng.simulate_step().tenants[0].wire_bytes
         assert wire["fp32"] > wire["fp16"] == wire["bf16"]
         assert wire["fp16"] > wire["fp8-e4m3"]
         assert wire["fp16"] > wire["int8-dba"]
@@ -299,30 +300,17 @@ class TestReduceInFabricEngines:
     def test_low_bit_formats_cut_step_time(self, bert):
         totals = {}
         for fmt in ("fp32", "fp8-e4m3"):
-            eng = DataParallelEngine(
+            eng = ClusterEngine(
                 SystemKind.TECO_REDUCTION,
                 bert,
                 8,
                 ClusterParams(n_gpus=4),
+                n_hosts=4,
                 reduce_in_fabric=True,
                 grad_wire_format=fmt,
             )
-            totals[fmt] = eng.simulate_step().total
+            totals[fmt] = eng.simulate_step().makespan
         assert totals["fp8-e4m3"] < totals["fp32"]
-
-    def test_dp_engine_disabled_path_unchanged(self, bert):
-        a = DataParallelEngine(
-            SystemKind.TECO_REDUCTION, bert, 8, ClusterParams(n_gpus=4)
-        ).simulate_step()
-        b = DataParallelEngine(
-            SystemKind.TECO_REDUCTION,
-            bert,
-            8,
-            ClusterParams(n_gpus=4),
-            reduce_in_fabric=False,
-            grad_wire_format="fp8-e4m3",
-        ).simulate_step()
-        assert a == b
 
     def test_cluster_engine_reduce_stats_populated(self, bert):
         eng = ClusterEngine(

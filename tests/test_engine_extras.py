@@ -1,91 +1,13 @@
-"""Additional kernel coverage: interrupts, peek, controller batching,
-and the fluid-vs-queued timing equivalence that justifies the engines'
-stream approximation."""
+"""Additional kernel coverage: controller batching, and the
+fluid-vs-queued timing equivalence that justifies the engines' stream
+approximation."""
 
 import numpy as np
 import pytest
 
 from repro.interconnect import CacheLinePayload, CXLController, CXLLinkModel
-from repro.sim import Interrupt, Resource, SerialLink, Simulator
+from repro.sim import SerialLink, Simulator
 from repro.utils.units import Bandwidth
-
-
-class TestProcessInterrupt:
-    def test_interrupt_wakes_sleeper(self):
-        sim = Simulator()
-        log = []
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(100.0)
-                log.append("overslept")
-            except Interrupt as exc:
-                log.append(("interrupted", sim.now, exc.cause))
-
-        def waker(sim, target):
-            yield sim.timeout(3.0)
-            target.interrupt("wake up")
-
-        p = sim.process(sleeper(sim))
-        sim.process(waker(sim, p))
-        sim.run()
-        assert log == [("interrupted", 3.0, "wake up")]
-
-    def test_interrupt_completed_process_is_noop(self):
-        sim = Simulator()
-
-        def quick(sim):
-            yield sim.timeout(1.0)
-
-        p = sim.process(quick(sim))
-        sim.run()
-        p.interrupt()  # must not raise
-        sim.run()
-
-    def test_is_alive(self):
-        sim = Simulator()
-
-        def proc(sim):
-            yield sim.timeout(1.0)
-
-        p = sim.process(proc(sim))
-        assert p.is_alive
-        sim.run()
-        assert not p.is_alive
-
-
-class TestSimulatorPeek:
-    def test_peek_next_event_time(self):
-        sim = Simulator()
-        sim.timeout(7.0)
-        sim.timeout(3.0)
-        assert sim.peek() == 0.0 or sim.peek() <= 3.0  # triggers enqueue now
-        sim.run()
-        assert sim.peek() == float("inf")
-
-
-class TestResourceCapacity:
-    def test_two_slots_admit_two(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        admitted = []
-
-        def user(sim, name):
-            yield res.request()
-            admitted.append((sim.now, name))
-            yield sim.timeout(1.0)
-            res.release()
-
-        for n in ("a", "b", "c"):
-            sim.process(user(sim, n))
-        sim.run()
-        at_zero = [n for t, n in admitted if t == 0.0]
-        assert sorted(at_zero) == ["a", "b"]
-        assert ("c" in [n for t, n in admitted if t == 1.0])
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            Resource(Simulator(), capacity=0)
 
 
 class TestControllerBatching:

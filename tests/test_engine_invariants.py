@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.memsim.cpu import CPUModel, gem5_avx_cpu
 from repro.models import MODEL_REGISTRY, get_model
 from repro.offload import HardwareParams, SystemKind, simulate_system
+from repro.offload.step import Phases, breakdown
 
 MODELS = [n for n in MODEL_REGISTRY if n != "gpt2-11b"]  # keep runs fast
 
@@ -79,6 +80,36 @@ class TestEngineInvariants:
             bd = simulate_system(kind, spec, batch)
             assert bd.total >= bd.compute >= 0
             assert bd.communication_fraction <= 1.0
+
+
+class TestBreakdownAddsUp:
+    """``step.breakdown`` checks that the phases add up to the step end."""
+
+    MARKS = {
+        "fwd_end": 1.0,
+        "bwd_end": 3.0,
+        "grads_on_cpu": 3.5,
+        "clip_end": 4.0,
+        "adam_end": 6.0,
+        "params_on_gpu": 6.5,
+    }
+
+    def test_consistent_marks_build_the_breakdown(self):
+        bd = breakdown(self.MARKS, Phases(1.0, 2.0, 0.5, 2.0))
+        assert bd.total == 6.5
+        assert bd.grad_transfer_exposed == 0.5
+        assert bd.param_transfer_exposed == 0.5
+
+    def test_marks_that_do_not_add_up_raise(self):
+        # The forward phase claims 1.5 s, but backward begins at 1.0 s.
+        with pytest.raises(ValueError, match="adds up to 7.0"):
+            breakdown(self.MARKS, Phases(1.5, 2.0, 0.5, 2.0))
+
+    def test_an_override_that_double_counts_raises(self):
+        with pytest.raises(ValueError):
+            breakdown(
+                self.MARKS, Phases(1.0, 2.0, 0.5, 2.0), act_fetch_exposed=0.1
+            )
 
 
 class TestCPURoofline:

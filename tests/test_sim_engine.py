@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Process, Resource, SerialLink, Simulator, Store
+from repro.sim import Process, SerialLink, Simulator, Store
 from repro.utils.units import Bandwidth
 
 
@@ -170,17 +170,6 @@ class TestProcesses:
         sim.run()
         assert p.value == [3.0, 1.0, 2.0]
         assert sim.now == 3.0
-
-    def test_any_of(self):
-        sim = Simulator()
-
-        def main(sim):
-            first = yield sim.any_of([sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")])
-            return (sim.now, first)
-
-        p = sim.process(main(sim))
-        sim.run()
-        assert p.value == (1.0, "fast")
 
     def test_wait_on_already_fired_event(self):
         sim = Simulator()
@@ -354,36 +343,6 @@ class TestKeyedScheduling:
         sim.run(until=2.2)
         assert seen == [False, 1.0, True, True, False]
         assert not sim.advance_if_next(3.0, sim.alloc_keys(1))  # outside run
-
-
-class TestResource:
-    def test_mutual_exclusion(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        log = []
-
-        def user(sim, name, hold):
-            yield res.request()
-            log.append((sim.now, name, "in"))
-            yield sim.timeout(hold)
-            res.release()
-            log.append((sim.now, name, "out"))
-
-        sim.process(user(sim, "a", 2.0))
-        sim.process(user(sim, "b", 1.0))
-        sim.run()
-        assert log == [
-            (0.0, "a", "in"),
-            (2.0, "a", "out"),
-            (2.0, "b", "in"),
-            (3.0, "b", "out"),
-        ]
-
-    def test_release_without_request(self):
-        sim = Simulator()
-        res = Resource(sim)
-        with pytest.raises(RuntimeError):
-            res.release()
 
 
 class TestStore:
